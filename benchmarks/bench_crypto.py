@@ -387,19 +387,19 @@ def _accel_workload() -> dict:
 
 
 def section_accel(report: dict, parity: list) -> None:
-    """Best accelerated provider vs the pure-Python fast path (PR 4).
+    """The native provider vs the pure-Python fast path.
 
     The other sections compare the fast path against the *naive*
     reference; this one compares providers of the same algorithms, so
-    the speedup isolates what gmpy2 / the C extension buy.  Skipped —
-    with the reason recorded in the report — when only ``pure`` is
-    available, which is what lets ``--check`` pass on a machine with
-    neither accelerator installed.
+    the speedup isolates what the C extension buys.  Skipped — with the
+    reason recorded in the report — when only ``pure`` is available,
+    which is what lets ``--check`` pass on a machine without the
+    extension built.
     """
     impls = dispatch.available_impls()
     best = impls[0]
     if best == "pure":
-        reason = "no accelerated provider available (install gmpy2 or build the C extension)"
+        reason = "no accelerated provider available (build the C extension)"
         report["accel"] = {"impl": "pure", "skipped": reason}
         print(f"accel: SKIPPED — {reason}")
         return

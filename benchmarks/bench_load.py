@@ -20,14 +20,15 @@ CI usage: ``--check benchmarks/baseline_load.json`` fails the run when
 identical-workload qps regresses more than ``--tolerance`` below the
 checked-in baseline, or the speedup drops under ``--min-speedup``.
 
-``--profile async-1k`` targets the :class:`AsyncSocketServer` instead:
-it opens ``--async-clients`` (default 1000) simultaneous connections
-from one asyncio swarm, proves they are all concurrently established
-via the server's own counters, then measures per-request latency at
-that concurrency.  Three forced sub-scenarios drive each hygiene knob
-to its trigger point (rate limit, admission gate, slow-client
-eviction) and a parity pass asserts byte-identical responses between
-the threaded and async servers.  With ``--check``, the ``async_1k``
+Both endpoints are served by :class:`AsyncSocketServer`.
+``--profile async-1k`` swarms it instead: it opens ``--async-clients``
+(default 1000) simultaneous connections from one asyncio swarm, proves
+they are all concurrently established via the server's own counters,
+then measures per-request latency at that concurrency.  Three forced
+sub-scenarios drive each hygiene knob to its trigger point (rate
+limit, admission gate, slow-client eviction) and a parity pass asserts
+that the server's responses are byte-identical to in-process
+``VChainClient.local`` answers.  With ``--check``, the ``async_1k``
 section of the baseline gates the client floor, the p99 bound, the
 hygiene counters, and parity.
 """
@@ -52,10 +53,9 @@ from repro.api import (
     AsyncSocketServer,
     ClientOptions,
     ServiceEndpoint,
-    SocketServer,
     SocketTransport,
+    VChainClient,
 )
-from repro.api.transport import decode_query_response
 from repro.datasets import make_time_window_queries
 from repro.testing import (
     SessionRecorder,
@@ -167,10 +167,6 @@ def mixed_ops(queries, subscription, n_queries):
         return plan + [register, poll, poll, deregister]
 
     return ops
-
-
-def serve(endpoint):
-    return SocketServer(endpoint, idle_timeout=300.0).start()
 
 
 # -- the async-1k profile ------------------------------------------------------
@@ -327,39 +323,39 @@ def _recv(sock: socket.socket, length: int) -> bytes:
 
 
 def check_parity(endpoint_factory, backend, queries) -> dict:
-    """Byte-for-byte VO parity between the two server kinds on a
-    deterministic mixed workload.
+    """Byte-for-byte VO parity between the socket server and the
+    in-process path on a deterministic mixed workload.
 
     Each raw response carries a trailing :class:`QueryStats` whose
     timings legitimately vary run to run, so the comparison is on the
     canonical encoding of the (results, VO) pair alone.
     """
-    answers = {}
-    for name, server_cls in [("threaded", SocketServer), ("async", AsyncSocketServer)]:
-        endpoint = endpoint_factory()
-        server = server_cls(endpoint).start()
-        try:
-            transport = SocketTransport(server.address, backend)
-            bodies = [
-                transport._request(encode_request(QueryRequest(query=query)))
-                for query in queries
-            ]
-            answers[name] = [
+    endpoint = endpoint_factory()
+    try:
+        client = VChainClient.local(endpoint)
+        local = [
+            encode_response(backend, answer.results, answer.vo)
+            for answer in (client.execute(query) for query in queries)
+        ]
+    finally:
+        endpoint.close()
+    endpoint = endpoint_factory()
+    server = AsyncSocketServer(endpoint).start()
+    try:
+        with SocketTransport(server.address, backend) as transport:
+            served = [
                 encode_response(backend, results, vo)
-                for results, vo, _stats in (
-                    decode_query_response(backend, body) for body in bodies
-                )
+                for results, vo, _stats in map(transport.time_window_query, queries)
             ]
-            transport.close()
-        finally:
-            server.stop()
-            endpoint.close()
-    identical = answers["threaded"] == answers["async"]
+    finally:
+        server.stop()
+        endpoint.close()
+    identical = served == local
     if not identical:
-        raise SystemExit("threaded and async servers returned different VO bytes")
+        raise SystemExit("socket and in-process answers have different VO bytes")
     return {
         "queries": len(queries),
-        "vo_bytes": sum(len(body) for body in answers["async"]),
+        "vo_bytes": sum(len(body) for body in served),
         "identical": identical,
     }
 
@@ -498,7 +494,7 @@ def check_async_profile(section, baseline) -> int:
     if not hygiene["eviction"]["evictions"]:
         failures.append("slow-client eviction never fired")
     if not section["parity"]["identical"]:
-        failures.append("threaded/async byte parity broken")
+        failures.append("socket/in-process byte parity broken")
     for failure in failures:
         print(f"FAIL: {failure}")
     if failures:
@@ -595,7 +591,7 @@ def main() -> int:
     serial_endpoint = ServiceEndpoint(
         net.sp, max_workers=1, cache_fragments=0, cache_proofs=0
     )
-    with serve(serial_endpoint) as server:
+    with AsyncSocketServer(serial_endpoint) as server:
         report["serial_identical"] = run_workload(
             server.address, backend, args.clients,
             identical_ops(identical_query, args.queries),
@@ -606,7 +602,7 @@ def main() -> int:
     concurrent_endpoint = ServiceEndpoint(
         net.sp, max_workers=args.workers, workers=args.crypto_workers
     )
-    with serve(concurrent_endpoint) as server:
+    with AsyncSocketServer(concurrent_endpoint) as server:
         report["concurrent_identical"] = run_workload(
             server.address, backend, args.clients,
             identical_ops(identical_query, args.queries),

@@ -24,17 +24,14 @@ Quickstart::
 
 The client talks to the service provider through a pluggable
 :class:`repro.api.Transport`: in-process by default, or over a
-length-prefixed socket protocol (:class:`repro.api.SocketServer` +
-``VChainClient.connect``) where every request and response round-trips
-through canonical :mod:`repro.wire` bytes.  ``backend_name="ss512"``
-swaps in the real supersingular pairing; ``"simulated"`` keeps the
-identical algebra on exponent arithmetic for large runs (see
-DESIGN.md).  ``create(data_dir=...)`` makes the chain durable
-(:mod:`repro.storage`) and ``VChainNetwork.open`` brings it back in a
-later process with verifiable answers intact.  The legacy
-tuple-returning entrypoints (``QueryUser.query``,
-``ServiceProvider.time_window_query``) still work but emit
-:class:`DeprecationWarning` — see ``docs/API.md``.
+length-prefixed socket protocol (:class:`repro.api.AsyncSocketServer`
++ ``VChainClient.connect``) where every request and response
+round-trips through canonical :mod:`repro.wire` bytes.
+``backend_name="ss512"`` swaps in the real supersingular pairing;
+``"simulated"`` keeps the identical algebra on exponent arithmetic for
+large runs (see DESIGN.md).  ``create(data_dir=...)`` makes the chain
+durable (:mod:`repro.storage`) and ``VChainNetwork.open`` brings it
+back in a later process with verifiable answers intact.
 """
 
 from __future__ import annotations

@@ -2,23 +2,21 @@
 
 The byte-parity guarantee of :mod:`repro.crypto.accel` — swap the
 provider, get identical bytes — only holds if the *whole* crypto stack
-reaches gmpy2 and the ``_accelmodule`` C extension through one seam
-(:mod:`repro.crypto.accel.dispatch`).  A module that imports ``gmpy2``
-directly has hard-wired an optional dependency (the repo must run with
-neither accelerator installed), and one that imports ``_accelmodule``
-or a provider module bypasses the probe/fallback logic and the parity
-gate around it.
+reaches the ``_accelmodule`` C extension through one seam
+(:mod:`repro.crypto.accel.dispatch`).  A module that imports
+``_accelmodule`` directly has hard-wired an optional build product (the
+repo must run without it), and one that imports it or a provider
+module bypasses the probe/fallback logic and the parity gate around
+it.
 
 Mechanically, within ``repro.crypto`` (and ``repro.accumulators``,
 whose key oracle sits on the same hot path):
 
-* only :mod:`repro.crypto.accel.gmpy2_backend` may import ``gmpy2``;
 * only :mod:`repro.crypto.accel.native` may import ``_accelmodule``;
 * only :mod:`repro.crypto.accel.dispatch` may import the provider
-  modules (``pure`` / ``gmpy2_backend`` / ``native``; the accelerated
-  providers may also import ``pure``, whose scalar seam they reuse) —
-  everyone else imports ``dispatch`` (or the package re-exports) and
-  lets the active provider decide.
+  modules (``pure`` / ``native``; ``native`` may also import ``pure``,
+  whose scalar seam it reuses) — everyone else imports ``dispatch``
+  (or the package re-exports) and lets the active provider decide.
 """
 
 from __future__ import annotations
@@ -29,27 +27,21 @@ from repro.analysis.findings import Finding
 from repro.analysis.project import ProjectIndex
 
 NAME = "accel-dispatch"
-DESCRIPTION = "crypto modules reach gmpy2/_accelmodule only via accel.dispatch"
+DESCRIPTION = "crypto modules reach _accelmodule only via accel.dispatch"
 
 #: the packages that must stay provider-agnostic
 SCOPES = ("repro.crypto", "repro.accumulators")
 
 #: module -> the places allowed to import it directly.  ``pure`` is
-#: also importable by the other providers: it carries no optional
-#: dependency, and they reuse its scalar seam (CPython's ``pow`` is
-#: already C-speed) rather than duplicating it.
+#: also importable by ``native``: it carries no optional dependency,
+#: and ``native`` reuses its scalar seam (CPython's ``pow`` is already
+#: C-speed) rather than duplicating it.
 _RESTRICTED = {
-    "gmpy2": frozenset({"repro.crypto.accel.gmpy2_backend"}),
     "_accelmodule": frozenset({"repro.crypto.accel.native"}),
     "repro.crypto.accel._accelmodule": frozenset({"repro.crypto.accel.native"}),
     "repro.crypto.accel.pure": frozenset(
-        {
-            "repro.crypto.accel.dispatch",
-            "repro.crypto.accel.gmpy2_backend",
-            "repro.crypto.accel.native",
-        }
+        {"repro.crypto.accel.dispatch", "repro.crypto.accel.native"}
     ),
-    "repro.crypto.accel.gmpy2_backend": frozenset({"repro.crypto.accel.dispatch"}),
     "repro.crypto.accel.native": frozenset({"repro.crypto.accel.dispatch"}),
 }
 

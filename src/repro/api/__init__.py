@@ -5,10 +5,9 @@ The transport-ready surface over the paper's machinery: a fluent
 :class:`VerifiedDelivery` results, a :class:`SubscriptionStream`, and
 pluggable :class:`Transport` implementations (in-process
 :class:`LocalTransport`, length-prefixed :class:`SocketTransport`).
-The socket protocol is served either by the asyncio
-:class:`AsyncSocketServer` (the default: one event loop, admission
-control, rate limits, slow-client eviction) or the thread-per-connection
-:class:`SocketServer`.  See ``docs/API.md`` for the guided tour.
+The socket protocol is served by the asyncio :class:`AsyncSocketServer`
+(one event loop, admission control, rate limits, slow-client
+eviction).  See ``docs/API.md`` for the guided tour.
 """
 
 from repro.api.aio import AsyncSocketServer, ServerCounters
@@ -20,7 +19,6 @@ from repro.api.service import ClientSession, EndpointStats, ServiceEndpoint
 from repro.api.transport import (
     FrameTap,
     LocalTransport,
-    SocketServer,
     SocketTransport,
     Transport,
     TransportError,
@@ -38,7 +36,6 @@ __all__ = [
     "QueryBuilder",
     "ServerCounters",
     "ServiceEndpoint",
-    "SocketServer",
     "SocketTransport",
     "SubscriptionStream",
     "Transport",

@@ -1,12 +1,13 @@
 """Asyncio socket server: every connection on one event loop.
 
-:class:`AsyncSocketServer` serves the same length-prefixed frame
-protocol as :class:`~repro.api.transport.SocketServer` — byte-for-byte
-identical requests and responses, so the two are interchangeable from
-any client's point of view — but multiplexes *all* connections and
-subscription deliveries over a single event loop instead of spending a
-reader thread per connection.  Crypto-heavy request bodies never run on
-the loop: each one is dispatched into the endpoint's worker pool via
+:class:`AsyncSocketServer` serves the length-prefixed frame protocol
+that :class:`~repro.api.transport.SocketTransport` speaks, multiplexing
+*all* connections and subscription deliveries over a single event loop
+rather than spending a reader thread per connection.  Its responses are
+byte-for-byte the ones an in-process
+:class:`~repro.api.transport.LocalTransport` would encode for the same
+requests.  Crypto-heavy request bodies never run on the loop: each one
+is dispatched into the endpoint's worker pool via
 ``loop.run_in_executor(endpoint.executor, ...)``, so connection count
 and query concurrency stay independent knobs and a thousand mostly-idle
 clients cost file descriptors, not threads.
@@ -170,10 +171,10 @@ def _response_error_kind(response: bytes) -> str | None:
 class AsyncSocketServer:
     """Serves one ServiceEndpoint over TCP on a single event loop.
 
-    A drop-in peer of :class:`~repro.api.transport.SocketServer`: same
-    constructor shape, same ``start()``/``stop()``/context-manager
-    lifecycle, same ``address`` attribute, same wire bytes.  See the
-    module docstring for the hygiene knobs.
+    ``start()`` serves on a background thread, ``stop()`` drains (or
+    aborts) and shuts down, and the server is a context manager;
+    ``address`` is the bound ``(host, port)``.  See the module
+    docstring for the hygiene knobs.
     """
 
     def __init__(
@@ -420,7 +421,6 @@ class AsyncSocketServer:
                                 self.backend,
                                 payload,
                                 session=session,
-                                query_runner=self.endpoint.query_inline,
                                 clock=self.clock,
                             ),
                         )

@@ -20,7 +20,7 @@ paper's query user, with an ergonomic surface::
 
 Remote use swaps the transport, nothing else::
 
-    server = SocketServer(ServiceEndpoint(sp)).start()
+    server = AsyncSocketServer(ServiceEndpoint(sp)).start()
     client = VChainClient.connect(server.address, accumulator, encoder, params)
 """
 
@@ -43,13 +43,7 @@ from repro.api.builder import QueryBuilder
 from repro.api.options import ClientOptions
 from repro.api.response import VerifiedDelivery, VerifiedResponse
 from repro.api.service import ServiceEndpoint
-from repro.api.transport import (
-    _TIMEOUT_UNSET,
-    LocalTransport,
-    SocketTransport,
-    Transport,
-    _resolve_options,
-)
+from repro.api.transport import LocalTransport, SocketTransport, Transport
 
 
 class VChainClient:
@@ -101,7 +95,6 @@ class VChainClient:
         encoder: ElementEncoder,
         params: ProtocolParams,
         user: QueryUser | None = None,
-        timeout: float | None = _TIMEOUT_UNSET,
         *,
         options: ClientOptions | None = None,
     ) -> "VChainClient":
@@ -109,13 +102,9 @@ class VChainClient:
 
         ``options`` (a :class:`~repro.api.options.ClientOptions`)
         carries every transport knob: connect timeout, per-request
-        deadline, retries, backoff.  The bare ``timeout=`` kwarg is the
-        deprecated pre-options spelling and maps to
-        ``ClientOptions(connect_timeout=timeout,
-        request_deadline=timeout)``.
+        deadline, retries, backoff.
         """
-        resolved = _resolve_options(options, timeout, "VChainClient.connect")
-        transport = SocketTransport(address, accumulator.backend, options=resolved)
+        transport = SocketTransport(address, accumulator.backend, options=options)
         return cls(transport, accumulator, encoder, params, user=user)
 
     # -- fluent entrypoints ------------------------------------------------

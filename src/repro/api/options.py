@@ -1,21 +1,12 @@
 """Consolidated client-side configuration.
 
-Before this module the client's knobs were scattered: connect and
-request timeouts rode a single ``timeout=`` kwarg on
-:meth:`~repro.api.client.VChainClient.connect` and
-:class:`~repro.api.transport.SocketTransport`, and there was no way to
-express retries at all.  :class:`ClientOptions` is the one place those
-decisions live::
+:class:`ClientOptions` is the one place the socket client's connect
+timeout, per-request deadline and retry policy live::
 
     options = ClientOptions(connect_timeout=5.0, request_deadline=2.0,
                             retries=2, backoff=0.1)
     client = VChainClient.connect(address, accumulator, encoder, params,
                                   options=options)
-
-The old ``timeout=`` kwargs keep working behind ``DeprecationWarning``
-shims (the PR 1 migration pattern): ``timeout=t`` maps to
-``ClientOptions(connect_timeout=t, request_deadline=t)``, which is
-exactly the old behaviour — ``t`` bounded every socket operation.
 """
 
 from __future__ import annotations

@@ -27,11 +27,10 @@ material; see :func:`repro.storage.bootstrap.open_deployment`.)
 
 ``serve()`` is the embeddable form: it returns the running server
 (whose endpoint owns the store) and leaves the waiting/shutdown
-choreography to the caller.  The default server is the asyncio
+choreography to the caller.  The server is the asyncio
 :class:`~repro.api.aio.AsyncSocketServer` — one event loop multiplexing
 every connection, with admission control, per-client rate limits and
-slow-client eviction; ``--threaded`` (or ``threaded=True``) restores
-the thread-per-connection :class:`~repro.api.transport.SocketServer`.
+slow-client eviction.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Any, Sequence
 
 from repro.api.aio import AsyncSocketServer
 from repro.api.service import ServiceEndpoint
-from repro.api.transport import FrameTap, SocketServer
+from repro.api.transport import FrameTap
 
 
 def serve(
@@ -50,13 +49,11 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    threaded: bool = False,
-    idle_timeout: float | None = None,
     max_inflight: int | None = None,
     rate_limit: float | None = None,
     tap: FrameTap | None = None,
     **endpoint_options: Any,
-) -> SocketServer | AsyncSocketServer:
+) -> AsyncSocketServer:
     """Reopen ``data_dir`` and serve it; returns the started server.
 
     ``server.stop()`` followed by ``server.endpoint.close()`` shuts the
@@ -64,27 +61,20 @@ def serve(
     forwarded to :meth:`ServiceEndpoint.open` (``max_workers=``,
     ``cache_fragments=``, ``lazy=``, ...).
 
-    ``max_inflight`` and ``rate_limit`` are the async server's traffic
-    hygiene knobs; ``idle_timeout`` applies to the threaded server.
-    ``tap`` (async server only) observes every frame the server moves —
+    ``max_inflight`` and ``rate_limit`` are the server's traffic
+    hygiene knobs.  ``tap`` observes every frame the server moves —
     the hook the :mod:`repro.testing` session recorder plugs into.
     """
-    if threaded and tap is not None:
-        raise ValueError("frame taps require the async server (threaded=False)")
     endpoint = ServiceEndpoint.open(data_dir, **endpoint_options)
     try:
-        server: SocketServer | AsyncSocketServer
-        if threaded:
-            server = SocketServer(endpoint, host, port, idle_timeout=idle_timeout)
-        else:
-            server = AsyncSocketServer(
-                endpoint,
-                host,
-                port,
-                max_inflight=max_inflight,
-                rate_limit=rate_limit,
-                tap=tap,
-            )
+        server = AsyncSocketServer(
+            endpoint,
+            host,
+            port,
+            max_inflight=max_inflight,
+            rate_limit=rate_limit,
+            tap=tap,
+        )
     except Exception:
         endpoint.close()
         raise
@@ -143,35 +133,22 @@ def main(argv: list[str] | None = None) -> int:
         "proving and subscription work fan out across them",
     )
     parser.add_argument(
-        "--threaded",
-        action="store_true",
-        help="serve with the thread-per-connection SocketServer instead "
-        "of the default asyncio server",
-    )
-    parser.add_argument(
-        "--idle-timeout",
-        type=float,
-        default=300.0,
-        help="seconds before an idle connection is reaped (0 disables; "
-        "threaded server only)",
-    )
-    parser.add_argument(
         "--max-inflight",
         type=int,
         default=None,
         help="admission gate: reject (typed busy error) once this many "
-        "requests are in flight (async server only)",
+        "requests are in flight",
     )
     parser.add_argument(
         "--rate-limit",
         type=float,
         default=None,
-        help="per-client requests/second token bucket (async server only)",
+        help="per-client requests/second token bucket",
     )
     parser.add_argument(
         "--accel",
         default=None,
-        choices=("auto", "pure", "gmpy2", "native"),
+        choices=("auto", "pure", "native"),
         help="arithmetic provider for the crypto hot loops (default: "
         "probe for the fastest installed; results are byte-identical "
         "under every choice)",
@@ -186,11 +163,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="write every frame served to this .vrec recording on "
-        "shutdown (async server only; see repro.testing)",
+        "shutdown (see repro.testing)",
     )
     args = parser.parse_args(argv)
-    if args.record and args.threaded:
-        parser.error("--record requires the async server (drop --threaded)")
     if (args.data_dir is None) == (args.stripe_dirs is None):
         parser.error("exactly one of --data-dir / --stripe-dirs is required")
     target: str | list[str] = args.data_dir
@@ -216,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         target,
         args.host,
         args.port,
-        threaded=args.threaded,
-        idle_timeout=args.idle_timeout or None,
         max_inflight=args.max_inflight,
         rate_limit=args.rate_limit,
         tap=tap,
@@ -242,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
         flush=True,
     )
     try:
-        # the accept loop runs on a daemon thread; park the main thread.
+        # the event loop runs on a daemon thread; park the main thread.
         # SIGTERM (systemd/docker stop) must take the same graceful path
         # as Ctrl-C, or the store's per-node LOCK files are left stale.
         import signal

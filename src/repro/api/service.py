@@ -368,8 +368,7 @@ class ServiceEndpoint:
         The async socket server dispatches every request body through
         ``loop.run_in_executor(endpoint.executor, ...)`` so connection
         multiplexing (the event loop) and crypto concurrency
-        (``max_workers``) stay independent knobs — exactly as they are
-        for the threaded server.
+        (``max_workers``) stay independent knobs.
         """
         return self._pool
 

@@ -6,12 +6,12 @@ Two implementations ship:
 * :class:`LocalTransport` — in-process and zero-copy: calls the
   :class:`~repro.api.service.ServiceEndpoint` directly, passing query
   and VO objects by reference.  The default for examples and tests.
-* :class:`SocketTransport` / :class:`SocketServer` — a length-prefixed
-  frame protocol over TCP.  Every request and response crosses the link
-  as canonical :mod:`repro.wire` bytes, so the full protocol is
-  exercised end-to-end: a forged group element in a response is
-  rejected by ``backend.decode`` while parsing, before any verification
-  logic runs.
+* :class:`SocketTransport` — a length-prefixed frame protocol over TCP,
+  served by :class:`~repro.api.aio.AsyncSocketServer`.  Every request
+  and response crosses the link as canonical :mod:`repro.wire` bytes,
+  so the full protocol is exercised end-to-end: a forged group element
+  in a response is rejected by ``backend.decode`` while parsing, before
+  any verification logic runs.
 
 Frame format: a 4-byte big-endian length followed by the payload.
 Requests are :func:`repro.wire.encode_request` bytes; responses carry a
@@ -26,7 +26,6 @@ import socket
 import struct
 import threading
 import time
-import warnings
 from typing import Callable, Protocol
 
 from repro.chain.block import BlockHeader
@@ -202,27 +201,6 @@ def _recv_frame(sock: socket.socket) -> bytes:
     return _recv_exact(sock, length)
 
 
-#: sentinel distinguishing "not passed" from an explicit ``timeout=None``
-_TIMEOUT_UNSET: float = -1.0
-
-
-def _resolve_options(
-    options: ClientOptions | None, timeout: float | None, caller: str
-) -> ClientOptions:
-    """Fold the deprecated ``timeout=`` kwarg into :class:`ClientOptions`."""
-    if timeout == _TIMEOUT_UNSET:
-        return options or ClientOptions()
-    warnings.warn(
-        f"{caller}(timeout=...) is deprecated; pass options="
-        "ClientOptions(connect_timeout=..., request_deadline=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if options is not None:
-        raise ValueError("pass either the deprecated timeout= or options=, not both")
-    return ClientOptions(connect_timeout=timeout, request_deadline=timeout)
-
-
 class SocketTransport:
     """Client side of the length-prefixed TCP protocol.
 
@@ -232,24 +210,19 @@ class SocketTransport:
     deadline carried in the request envelope), and ``retries`` /
     ``backoff`` govern reconnect-and-retry for idempotent requests and
     :class:`~repro.errors.ServerBusyError` rejections.
-
-    The ``timeout=`` kwarg is the deprecated pre-:class:`ClientOptions`
-    form and maps to ``connect_timeout=timeout, request_deadline=
-    timeout`` (its historical meaning).
     """
 
     def __init__(
         self,
         address: tuple[str, int],
         backend: PairingBackend,
-        timeout: float | None = _TIMEOUT_UNSET,
         *,
         options: ClientOptions | None = None,
         tap: FrameTap | None = None,
     ) -> None:
         self.backend = backend
         self.address = address
-        self.options = _resolve_options(options, timeout, "SocketTransport")
+        self.options = options or ClientOptions()
         self._tap = tap
         self._channel = 0
         self._lock = threading.Lock()
@@ -375,15 +348,6 @@ class SocketTransport:
         self.close()
 
 
-#: signature of :meth:`ServiceEndpoint.time_window_query` — servers that
-#: already run request handlers *on* the endpoint's worker pool pass
-#: :meth:`ServiceEndpoint.query_inline` instead, to avoid a pool deadlock
-QueryRunner = Callable[
-    [TimeWindowQuery, bool | None],
-    tuple[list[DataObject], TimeWindowVO, QueryStats],
-]
-
-
 def perform_request(
     endpoint: ServiceEndpoint,
     backend: PairingBackend,
@@ -391,7 +355,6 @@ def perform_request(
     session: "ClientSession | None" = None,
     *,
     deadline_at: float | None = None,
-    query_runner: QueryRunner | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> bytes:
     """Run one decoded request and encode its response body.
@@ -400,12 +363,16 @@ def perform_request(
     error-to-frame mapping.  ``deadline_at`` is a ``clock()`` instant
     (``time.monotonic()`` by default): requests already past it are
     abandoned up front rather than charged against the worker pool.
+
+    Queries run on the calling thread via
+    :meth:`~repro.api.service.ServiceEndpoint.query_inline`: the server
+    already dispatches whole request bodies into the endpoint's worker
+    pool, so resubmitting would occupy two workers per query.
     """
     if deadline_at is not None and clock() >= deadline_at:
         raise DeadlineExpiredError("deadline expired before execution")
     if isinstance(request, QueryRequest):
-        run = query_runner if query_runner is not None else endpoint.time_window_query
-        results, vo, stats = run(request.query, request.batch)
+        results, vo, stats = endpoint.query_inline(request.query, request.batch)
         return encode_query_response(backend, results, vo, stats)
     if isinstance(request, RegisterRequest):
         query_id, since = endpoint.register(
@@ -434,7 +401,6 @@ def dispatch_request(
     payload: bytes,
     session: "ClientSession | None" = None,
     *,
-    query_runner: QueryRunner | None = None,
     clock: Callable[[], float] = time.monotonic,
 ) -> bytes:
     """Decode one request frame, run it, encode the response frame body.
@@ -463,7 +429,6 @@ def dispatch_request(
             request,
             session=session,
             deadline_at=deadline_at,
-            query_runner=query_runner,
             clock=clock,
         )
         if deadline_at is not None and clock() >= deadline_at:
@@ -475,162 +440,3 @@ def dispatch_request(
             "error", f"internal server error: {exc}"
         )
     return bytes([_STATUS_OK]) + body
-
-
-class SocketServer:
-    """Serves one ServiceEndpoint over TCP.
-
-    One lightweight *reader* thread per connection parses frames and
-    writes responses; the actual query work runs on the endpoint's
-    worker pool, so connection count and query concurrency are
-    independent knobs.  A slow or hung client occupies only its own
-    reader thread — never a pool worker, never another client's
-    connection — and ``idle_timeout`` reaps connections that stop
-    sending frames.  Each connection gets a
-    :class:`~repro.api.service.ClientSession`; its subscriptions are
-    deregistered when the connection ends, however it ends.
-    """
-
-    def __init__(
-        self,
-        endpoint: ServiceEndpoint,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        idle_timeout: float | None = None,
-    ) -> None:
-        self.endpoint = endpoint
-        self.backend = endpoint.sp.accumulator.backend
-        self.idle_timeout = idle_timeout
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen()
-        self.address: tuple[str, int] = self._listener.getsockname()[:2]
-        self._threads: set[threading.Thread] = set()
-        self._conns: set[socket.socket] = set()
-        self._conn_lock = threading.Lock()
-        self._accept_thread: threading.Thread | None = None
-        self._closing = False
-
-    def start(self) -> "SocketServer":
-        """Accept connections on a background daemon thread."""
-        thread = threading.Thread(
-            target=self._accept_loop, name="vchain-socket-server", daemon=True
-        )
-        with self._conn_lock:
-            self._accept_thread = thread
-        thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._closing:
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            conn.settimeout(self.idle_timeout)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            with self._conn_lock:
-                self._conns.add(conn)
-                self._threads.add(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        # requests on one connection are served strictly in order; the
-        # endpoint runs queries on its worker pool and serialises
-        # subscription state itself, so concurrent clients are safe
-        session = self.endpoint.session()
-        try:
-            while not self._closing:
-                try:
-                    payload = _recv_frame(conn)
-                except (TransportError, OSError):
-                    return  # client hung up, timed out, or sent garbage
-                response = dispatch_request(
-                    self.endpoint, self.backend, payload, session=session
-                )
-                try:
-                    _send_frame(conn, response)
-                except OSError:
-                    return
-        finally:
-            session.close()
-            with self._conn_lock:
-                self._conns.discard(conn)
-                # prune ourselves so a long-lived server does not hoard
-                # one dead Thread object per connection ever served
-                self._threads.discard(threading.current_thread())
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def stop(self, drain: bool = True, timeout: float = 5.0) -> None:
-        """Stop serving.  With ``drain``, in-flight requests finish and
-        their responses are sent before connections close; without it,
-        connections are torn down immediately.
-
-        ``timeout`` is a total budget shared by every join in the
-        shutdown (accept thread included), not a per-thread allowance.
-        Threads still alive when it runs out are reported with a
-        ``RuntimeWarning`` naming them — a hung prover is something the
-        operator should hear about, not something ``stop()`` swallows.
-        """
-        budget_end = time.monotonic() + timeout
-        with self._conn_lock:
-            self._closing = True
-        try:
-            # close() alone does not wake a thread blocked in accept()
-            # on Linux; shutdown() does, so the accept thread exits now
-            # instead of silently eating the join budget
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        stragglers: list[threading.Thread] = []
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=max(0.0, budget_end - time.monotonic()))
-            if self._accept_thread.is_alive():
-                stragglers.append(self._accept_thread)
-        with self._conn_lock:
-            conns = list(self._conns)
-        for conn in conns:
-            try:
-                # half-close: readers see EOF and exit after finishing
-                # (and answering) the request they are working on
-                conn.shutdown(socket.SHUT_RD if drain else socket.SHUT_RDWR)
-            except OSError:
-                pass
-        with self._conn_lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout=max(0.0, budget_end - time.monotonic()))
-            if thread.is_alive():
-                stragglers.append(thread)
-        with self._conn_lock:
-            leftovers = list(self._conns)
-        for conn in leftovers:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if stragglers:
-            names = ", ".join(t.name for t in stragglers)
-            warnings.warn(
-                f"SocketServer.stop() timed out after {timeout}s with "
-                f"{len(stragglers)} thread(s) still running: {names}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def __enter__(self) -> "SocketServer":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()

@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Sequence
 
 from repro.accumulators.base import MultisetAccumulator
 from repro.accumulators.encoding import ElementEncoder
 from repro.chain.chain import Blockchain
 from repro.chain.miner import ProtocolParams
-from repro.chain.object import DataObject
-from repro.core.prover import QueryProcessor, QueryStats
-from repro.core.query import TimeWindowQuery
-from repro.core.vo import TimeWindowVO
+from repro.core.prover import QueryProcessor
 
 
 class ServiceProvider:
@@ -67,20 +63,3 @@ class ServiceProvider:
     def close(self) -> None:
         """Close the chain's backing store (no-op for memory chains)."""
         self.chain.close()
-
-    def time_window_query(
-        self, query: TimeWindowQuery, batch: bool | None = None
-    ) -> tuple[list[DataObject], TimeWindowVO, QueryStats]:
-        """Deprecated direct entrypoint; use :class:`repro.api.VChainClient`.
-
-        The positional-tuple answer survives for compatibility, but new
-        code should go through a client and transport — the endpoint
-        path is what the wire protocol and its tests exercise.
-        """
-        warnings.warn(
-            "ServiceProvider.time_window_query() is deprecated; route queries "
-            "through repro.api.VChainClient (or a ServiceEndpoint)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.processor.time_window_query(query, batch=batch)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 from repro.accumulators.base import MultisetAccumulator
 from repro.accumulators.encoding import ElementEncoder
 from repro.chain.chain import Blockchain
@@ -56,28 +54,3 @@ class QueryUser:
         :meth:`repro.core.verifier.QueryVerifier.batch_verify`.
         """
         return self.verifier.batch_verify(items)
-
-    def query(self, sp, query: TimeWindowQuery, batch: bool | None = None):
-        """Deprecated one-shot convenience; use :class:`repro.api.VChainClient`.
-
-        Returns the legacy ``(results, vo, sp_stats, user_stats)`` tuple.
-        New code gets the same answer as a rich
-        :class:`~repro.api.VerifiedResponse` via
-        ``VChainClient.local(sp, user=self).execute(query)``.
-        """
-        warnings.warn(
-            "QueryUser.query() is deprecated; use repro.api.VChainClient",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.sp import ServiceProvider
-
-        if type(sp) is ServiceProvider:
-            # skip the deprecated facade so one legacy call warns once,
-            # while subclasses and other duck-typed providers keep their
-            # time_window_query override in the loop
-            results, vo, sp_stats = sp.processor.time_window_query(query, batch=batch)
-        else:
-            results, vo, sp_stats = sp.time_window_query(query, batch=batch)
-        verified, user_stats = self.verify(query, results, vo)
-        return verified, vo, sp_stats, user_stats

@@ -1,20 +1,18 @@
 """Accelerated field/curve arithmetic behind a runtime-probed seam.
 
-Three interchangeable providers implement the same arithmetic surface
+Two interchangeable providers implement the same arithmetic surface
 (scalar modexp/modinv, Jacobian point kernels, MSM inner loops, the
 ss512 Miller loop):
 
-* ``pure``  — the PR 4 pure-Python fast path (always available);
-* ``gmpy2`` — GMP ``mpz`` integers under the identical formulas
-  (``pip install .[accel]``);
+* ``pure``  — the pure-Python fast path (always available);
 * ``native`` — the optional ``_accelmodule`` C extension with
   Montgomery-form fixed-width arithmetic (``python setup.py
-  build_ext --inplace`` or ``pip install .[accel]`` from source).
+  build_ext --inplace``, or ``pip install .`` from source).
 
 Select one per process with :func:`set_impl` (or the ``accel=``
 argument of :func:`repro.crypto.get_backend`, or the ``REPRO_ACCEL``
-environment variable); ``"auto"`` probes ``native → gmpy2 → pure``.
-Every provider is byte-parity gated against pure Python — same block
+environment variable); ``"auto"`` probes ``native → pure``.  The
+native provider is byte-parity gated against pure Python — same block
 encodings, same VO bytes — by ``tests/test_accel.py`` and the in-run
 check in ``benchmarks/bench_crypto.py``.
 """

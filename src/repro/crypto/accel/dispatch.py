@@ -4,9 +4,7 @@ One process-wide *active provider* decides which implementation of the
 scalar seam (modexp / modinv / big-int multiply) and of the per-curve
 Jacobian kernels every hot path uses:
 
-* ``pure``  — the PR 4 fast path, always available;
-* ``gmpy2`` — the same algorithms running on GMP ``mpz`` integers
-  (:mod:`repro.crypto.accel.gmpy2_backend`), when gmpy2 is installed;
+* ``pure``  — the pure-Python fast path, always available;
 * ``native`` — the C extension ``_accelmodule``
   (:mod:`repro.crypto.accel.native`), when it has been built.
 
@@ -14,8 +12,8 @@ Selection is explicit (:func:`set_impl`) or probed (``"auto"`` walks
 :data:`PROBE_ORDER` and takes the first available provider).  The
 default is ``"auto"`` — overridable with the ``REPRO_ACCEL``
 environment variable — resolved lazily on first use, so merely
-importing the crypto packages never fails in an environment with
-neither accelerator installed.
+importing the crypto packages never fails in an environment without
+the C extension.
 
 The rest of ``repro.crypto`` reaches accelerated arithmetic **only**
 through this module (enforced statically by the ``accel-dispatch``
@@ -34,7 +32,7 @@ from typing import Any, Callable, Mapping, Sequence
 from repro.errors import CryptoError
 
 #: probe order for ``"auto"`` — fastest available provider wins
-PROBE_ORDER = ("native", "gmpy2", "pure")
+PROBE_ORDER = ("native", "pure")
 
 #: environment override for the initial (lazily resolved) provider
 ENV_VAR = "REPRO_ACCEL"
@@ -117,8 +115,6 @@ def _load(name: str) -> Provider | None:
     try:
         if name == "pure":
             from repro.crypto.accel import pure as module
-        elif name == "gmpy2":
-            from repro.crypto.accel import gmpy2_backend as module  # type: ignore[no-redef]
         elif name == "native":
             from repro.crypto.accel import native as module  # type: ignore[no-redef]
         else:
@@ -207,7 +203,7 @@ def active() -> Provider:
 
 
 def active_impl() -> str:
-    """Name of the active provider (``pure`` / ``gmpy2`` / ``native``)."""
+    """Name of the active provider (``pure`` / ``native``)."""
     return active().name
 
 

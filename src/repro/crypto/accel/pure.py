@@ -1,4 +1,4 @@
-"""The pure-Python provider — the PR 4 fast path, verbatim.
+"""The pure-Python provider — the reference every other provider must match.
 
 This provider publishes **no** curve kernels: an empty kernel mapping
 tells :func:`repro.crypto.msm._active_ops` to run the original

@@ -184,7 +184,7 @@ class PairingBackend(ABC):
         """Name of the arithmetic provider serving this backend.
 
         Real backends run on the process-wide active provider
-        (``pure`` / ``gmpy2`` / ``native``); the simulated backend
+        (``pure`` / ``native``); the simulated backend
         overrides this with ``"simulated"`` since it never touches
         group arithmetic.
         """
@@ -293,7 +293,7 @@ def get_backend(name: str = "ss512", accel: str | None = None) -> PairingBackend
 
     ``accel`` selects the process-wide arithmetic provider before the
     backend is constructed: ``"auto"`` probes for the fastest available
-    implementation, ``"pure"`` / ``"gmpy2"`` / ``"native"`` pin one
+    implementation, ``"pure"`` / ``"native"`` pin one
     explicitly (raising :class:`~repro.errors.CryptoError` when it is
     not installed).  ``None`` leaves the current selection untouched.
     The provider is global — it accelerates every backend instance —

@@ -1,9 +1,9 @@
 """Command-line replay driver: ``python -m repro.testing <command>``.
 
 ``replay`` re-drives one or more ``.vrec`` recordings, either against a
-server it spins up itself from the recording's metadata (``--serve
-async|threaded``, the corpus path) or against an already-running
-endpoint (``--address host:port``).  The exit status is 0 only when
+server it spins up itself from the recording's metadata (the default,
+the corpus path) or against an already-running endpoint (``--address
+host:port``).  The exit status is 0 only when
 every recording produced exactly the mismatch count its metadata
 promises (``expect_mismatches``, default 0) — so the forged-VO corpus
 *must* mismatch for the run to pass.
@@ -49,7 +49,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             finally:
                 net.close()
         else:
-            report = CorpusReplayer().replay(path, server=args.serve)
+            report = CorpusReplayer().replay(path)
         print(_report_line(path, report, expected), flush=True)
         if len(report.mismatches) != expected:
             failures += 1
@@ -91,12 +91,6 @@ def main(argv: list[str] | None = None) -> int:
 
     replay = commands.add_parser("replay", help="re-drive recordings, check parity")
     replay.add_argument("recordings", nargs="+", help=".vrec files to replay")
-    replay.add_argument(
-        "--serve",
-        choices=("async", "threaded"),
-        default="async",
-        help="serve the recording's own network with this server kind",
-    )
     replay.add_argument(
         "--address",
         default=None,

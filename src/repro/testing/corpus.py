@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro import ProtocolParams, VChainNetwork
-from repro.api import AsyncSocketServer, SocketServer, SocketTransport, VChainClient
+from repro.api import AsyncSocketServer, SocketTransport, VChainClient
 from repro.api.builder import QueryBuilder
 from repro.chain import DataObject
 from repro.core.query import TimeWindowQuery
@@ -293,26 +293,13 @@ def record_corpus(out_dir: str | os.PathLike[str]) -> dict[str, bytes]:
 class CorpusReplayer:
     """Replays ``.vrec`` corpora against freshly served demo networks."""
 
-    def replay(
-        self, path: str | os.PathLike[str], server: str = "async"
-    ) -> ReplayReport:
-        """Serve the recording's network and re-drive the session.
-
-        ``server`` picks the implementation behind the socket —
-        ``"async"`` or ``"threaded"`` — which a byte-deterministic
-        protocol must not be able to tell apart.
-        """
+    def replay(self, path: str | os.PathLike[str]) -> ReplayReport:
+        """Serve the recording's network and re-drive the session."""
         recording = load_recording(path)
         with _pinned_accel(recording.meta.get("accel", "pure")):
             net = corpus_network(recording.meta)
             try:
-                live: AsyncSocketServer | SocketServer
-                if server == "async":
-                    live = AsyncSocketServer(net.endpoint).start()
-                elif server == "threaded":
-                    live = SocketServer(net.endpoint).start()
-                else:
-                    raise ValueError(f"unknown server kind {server!r}")
+                live = AsyncSocketServer(net.endpoint).start()
                 try:
                     return replay_recording(
                         recording, live.address, net.accumulator.backend

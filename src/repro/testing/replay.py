@@ -9,7 +9,7 @@ legitimately vary between runs (SP-side timings in ``QueryStats``, the
 whole ``ServerStats`` snapshot) and leaves everything else, VO bytes
 included, untouched.  A recording therefore pins the *semantics* of a
 session — results, proofs, deliveries, error frames — across code
-changes, server implementations (threaded vs async) and replays.
+changes and replays.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.wire import (
 _STATUS_OK = 0
 
 #: stats responses normalize to this constant snapshot: the counters
-#: depend on request interleaving and on which server kind is attached,
+#: depend on request interleaving and on the serving configuration,
 #: neither of which a byte-parity gate should pin
 _EMPTY_STATS = ServerStats(endpoint={}, caches={}, engine={}, pool=None, server=None)
 

@@ -537,8 +537,7 @@ class ServerStats:
     (``None`` for a bare in-process endpoint), ``storage`` the
     striped store's degradation/scrub counters (``None`` for stores
     without health tracking), and ``accel`` the name of the arithmetic
-    provider serving the endpoint's crypto (``pure`` / ``gmpy2`` /
-    ``native``).
+    provider serving the endpoint's crypto (``pure`` / ``native``).
     """
 
     endpoint: dict[str, Scalar]

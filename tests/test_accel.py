@@ -1,11 +1,11 @@
 """Parity and dispatch tests for the accelerated arithmetic providers.
 
-Every provider (``gmpy2``, ``native``) must be a pure performance
-change: identical integers out of the scalar seam, identical points out
-of the curve kernels, identical pairing values — and therefore
-byte-identical block encodings and VOs at the chain level, in-process
-and inside spawn-mode pool workers.  Providers that are not installed
-in this environment are skipped (the suite must pass with neither).
+The ``native`` provider must be a pure performance change: identical
+integers out of the scalar seam, identical points out of the curve
+kernels, identical pairing values — and therefore byte-identical block
+encodings and VOs at the chain level, in-process and inside spawn-mode
+pool workers.  Without the built extension those tests are skipped (the
+suite must pass on pure Python alone).
 """
 
 import random
@@ -285,12 +285,21 @@ def test_spawn_pool_workers_match_pure_bytes(impl):
 def test_available_impls_always_ends_with_pure():
     assert AVAILABLE
     assert AVAILABLE[-1] == "pure"
-    assert set(AVAILABLE) <= {"native", "gmpy2", "pure"}
+    assert set(AVAILABLE) <= {"native", "pure"}
 
 
-def test_set_impl_unknown_name_raises():
-    with pytest.raises(CryptoError, match="unknown accel impl"):
-        dispatch.set_impl("mcl")
+def test_set_impl_unknown_name_raises(monkeypatch):
+    # the second name is a removed provider: it must be rejected
+    # by every selector, never silently probed past
+    for name in ("mcl", "gmpy2"):
+        with pytest.raises(CryptoError, match=f"unknown accel impl '{name}'"):
+            dispatch.set_impl(name)
+        with pytest.raises(CryptoError, match=f"unknown accel impl '{name}'"):
+            get_backend("ss512", accel=name)
+        monkeypatch.setenv(dispatch.ENV_VAR, name)
+        monkeypatch.setattr(dispatch, "_ACTIVE", None)
+        with pytest.raises(CryptoError, match=f"unknown accel impl '{name}'"):
+            dispatch.active()
 
 
 def test_set_impl_unavailable_raises_and_fallback_degrades():

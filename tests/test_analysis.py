@@ -381,19 +381,19 @@ def test_fsync_rule_accepts_the_durable_idioms(tmp_path):
 
 ACCEL_FIXTURE = {
     "src/repro/crypto/fixture_field.py": """\
-        import gmpy2
+        import _accelmodule
 
 
         def inv(value, modulus):
-            return int(gmpy2.invert(value, modulus))
+            return _accelmodule.modinv(value, modulus)
         """,
 }
 
 
-def test_accel_rule_flags_direct_gmpy2_import(tmp_path):
+def test_accel_rule_flags_direct_extension_import(tmp_path):
     root = make_project(tmp_path, ACCEL_FIXTURE)
     finding = only_finding(run(root, rules=["accel-dispatch"]), "accel-dispatch")
-    assert "gmpy2" in finding.message
+    assert "_accelmodule" in finding.message
     assert "dispatch" in finding.message
     assert finding.line == 1
 
@@ -405,7 +405,7 @@ def test_accel_rule_flags_provider_and_extension_imports(tmp_path):
             from repro.crypto.accel import _accelmodule
             """,
         "src/repro/accumulators/fixture_keys.py": """\
-            from repro.crypto.accel.gmpy2_backend import build
+            from repro.crypto.accel.pure import build
             """,
     }
     root = make_project(tmp_path, fixture)
@@ -423,16 +423,13 @@ def test_accel_rule_accepts_the_seam_and_the_providers(tmp_path):
             def inv(value, modulus):
                 return dispatch.modinv(value, modulus)
             """,
-        "src/repro/crypto/accel/gmpy2_backend.py": """\
-            import gmpy2
-            """,
         "src/repro/crypto/accel/native.py": """\
             from repro.crypto.accel import _accelmodule, pure
             """,
         "src/repro/crypto/accel/dispatch.py": """\
             def load():
-                from repro.crypto.accel import gmpy2_backend, native, pure
-                return (gmpy2_backend, native, pure)
+                from repro.crypto.accel import native, pure
+                return (native, pure)
             """,
     }
     root = make_project(tmp_path, fixture)

@@ -1,4 +1,4 @@
-"""VChainClient over the local transport: responses, streams, shims."""
+"""VChainClient over the local transport: responses and streams."""
 
 import random
 import warnings
@@ -156,53 +156,8 @@ def test_builder_validation_matches_wire_encodability(net):
     assert decode_request(encode_request(QueryRequest(query=query))).query == query
 
 
-# -- deprecation shims --------------------------------------------------------
-def test_legacy_user_query_warns_exactly_once(net):
-    query = _query(net).build()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results, vo, sp_stats, user_stats = net.user.query(net.sp, query)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "VChainClient" in str(deprecations[0].message)
-    assert sorted(o.object_id for o in results) == sorted(
-        o.object_id for o in _query(net).execute().results
-    )
-
-
-def test_legacy_user_query_keeps_duck_typed_providers(net):
-    query = _query(net).build()
-
-    class CountingSP(type(net.sp)):
-        calls = 0
-
-        def time_window_query(self, q, batch=None):
-            CountingSP.calls += 1
-            return self.processor.time_window_query(q, batch=batch)
-
-    counting = CountingSP(net.chain, net.accumulator, net.encoder, net.params)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        results, _vo, _sp, _user = net.user.query(counting, query)
-        # a bare QueryProcessor still works too (the pre-API contract)
-        direct = net.user.query(net.sp.processor, query)
-    assert CountingSP.calls == 1
-    assert [o.object_id for o in results] == [o.object_id for o in direct[0]]
-
-
-def test_legacy_sp_entrypoint_warns_exactly_once(net):
-    query = _query(net).build()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        results, vo, stats = net.sp.time_window_query(query)
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    verified, _ = net.user.verify(query, results, vo)
-    assert verified == results
-
-
 def test_new_api_path_does_not_warn(net):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _query(net).execute().raise_for_forgery()
-    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    assert not caught

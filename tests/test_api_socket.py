@@ -1,12 +1,12 @@
 """End-to-end over the socket transport: SP and user in separate
 threads, communicating only via encoded bytes.
 
-The SP side runs inside :class:`SocketServer`'s daemon threads; the
-client side runs in the test thread.  The acceptance bar: the verified
-socket answer matches the LocalTransport answer byte-for-byte (same
-canonical wire encoding of results + VO), and a forged VO is caught at
-the decode boundary — by ``backend.decode`` — before any verification
-logic runs.
+The SP side runs on :class:`AsyncSocketServer`'s event-loop thread and
+the endpoint's worker pool; the client side runs in the test thread.
+The acceptance bar: the verified socket answer matches the
+LocalTransport answer byte-for-byte (same canonical wire encoding of
+results + VO), and a forged VO is caught at the decode boundary — by
+``backend.decode`` — before any verification logic runs.
 """
 
 import random
@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import VChainClient, VChainNetwork
-from repro.api import ServiceEndpoint, SocketServer
+from repro.api import AsyncSocketServer, ServiceEndpoint
 from repro.api.transport import SocketTransport, TransportError, _recv_frame
 from repro.chain import ProtocolParams
 from repro.errors import CryptoError, SubscriptionError
@@ -39,7 +39,7 @@ def net():
 
 @pytest.fixture()
 def server(net):
-    server = SocketServer(ServiceEndpoint(net.sp)).start()
+    server = AsyncSocketServer(ServiceEndpoint(net.sp)).start()
     yield server
     server.stop()
 
@@ -59,7 +59,7 @@ def _builder(client):
 
 
 def test_time_window_query_matches_local_byte_for_byte(net, server):
-    assert server._accept_thread is not threading.current_thread()
+    assert server._thread is not threading.current_thread()
     local = _builder(net.client).execute().raise_for_forgery()
     with _remote_client(net, server) as client:
         remote = _builder(client).execute().raise_for_forgery()
@@ -147,7 +147,7 @@ def test_server_side_errors_cross_the_wire_typed(net, server):
 
 
 def test_closed_server_raises_transport_error(net):
-    server = SocketServer(ServiceEndpoint(net.sp)).start()
+    server = AsyncSocketServer(ServiceEndpoint(net.sp)).start()
     client = _remote_client(net, server)
     server.stop()
     client.transport._sock.close()

@@ -1,13 +1,14 @@
-"""The asyncio serving tier: parity with the threaded server, plus the
-traffic hygiene only it provides.
+"""The asyncio serving tier: parity with the in-process path, plus its
+traffic hygiene.
 
 Parity is the acceptance bar carried over from ``test_api_socket``: the
-async server must produce byte-identical wire responses to the threaded
-server on a mixed workload.  The hygiene tests then drive each
-production knob to its trigger point — admission gate, per-client rate
-limit, request deadlines, slow-client eviction, graceful drain — and
-assert both the client-visible behaviour (typed errors) and the
-server-side counters that make the events observable.
+async server must answer a mixed workload with exactly the bytes an
+in-process ``VChainClient.local`` client gets.  The hygiene tests then
+drive each production knob to its trigger point — admission gate,
+per-client rate limit, request deadlines, slow-client eviction,
+graceful drain, the stop budget — and assert both the client-visible
+behaviour (typed errors) and the server-side counters that make the
+events observable.
 """
 
 import random
@@ -16,17 +17,13 @@ import struct
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
 from repro import VChainClient, VChainNetwork
-from repro.api import (
-    AsyncSocketServer,
-    ClientOptions,
-    ServiceEndpoint,
-    SocketServer,
-)
-from repro.api.transport import SocketTransport, TransportError, _resolve_options
+from repro.api import AsyncSocketServer, ClientOptions, ServiceEndpoint
+from repro.api.transport import SocketTransport, TransportError
 from repro.chain import ProtocolParams
 from repro.errors import DeadlineExpiredError, ServerBusyError, SubscriptionError
 from repro.testing import ManualClock
@@ -108,46 +105,58 @@ def _gated_processor(net):
     return started, gate, lambda: net.sp.processor.__dict__.pop("time_window_query")
 
 
-# -- parity with the threaded server ------------------------------------------
-def test_async_matches_threaded_byte_for_byte(net):
-    """Identical wire bytes for a mixed workload across both servers."""
+@contextmanager
+def _client(net, endpoint, kind):
+    """A ``"local"`` (in-process) or ``"async"`` (socket) client."""
+    if kind == "local":
+        with VChainClient.local(endpoint) as client:
+            yield client
+        return
+    server = AsyncSocketServer(endpoint).start()
+    try:
+        with _connect(net, server) as client:
+            yield client
+    finally:
+        server.stop()
+
+
+# -- parity with the in-process path -------------------------------------------
+def test_async_matches_local_byte_for_byte(net):
+    """Identical wire bytes for a mixed workload, socket vs in-process."""
     backend = net.accumulator.backend
     queries = [_wide_query(net.client)] + [
         _disjoint_query(net.client, index) for index in range(5)
     ]
     answers = {}
-    for name, server_cls in [("threaded", SocketServer), ("async", AsyncSocketServer)]:
+    for kind in ("local", "async"):
         endpoint = ServiceEndpoint(net.sp)
-        server = server_cls(endpoint).start()
         try:
-            with _connect(net, server) as client:
-                answers[name] = [
+            with _client(net, endpoint, kind) as client:
+                answers[kind] = [
                     client.execute(query).raise_for_forgery() for query in queries
                 ]
         finally:
-            server.stop()
             endpoint.close()
-    for threaded, asynced in zip(answers["threaded"], answers["async"]):
-        assert asynced.results == threaded.results
+    for local, asynced in zip(answers["local"], answers["async"]):
+        assert asynced.results == local.results
         assert encode_response(
             backend, asynced.results, asynced.vo
-        ) == encode_response(backend, threaded.results, threaded.vo)
-        assert asynced.vo_nbytes == threaded.vo_nbytes
+        ) == encode_response(backend, local.results, local.vo)
+        assert asynced.vo_nbytes == local.vo_nbytes
 
 
-def test_async_subscription_matches_threaded():
+def test_async_subscription_matches_local():
     deliveries = {}
-    for name, server_cls in [("threaded", SocketServer), ("async", AsyncSocketServer)]:
-        # a fresh, identically-seeded network per server so both rounds
+    for kind in ("local", "async"):
+        # a fresh, identically-seeded network per leg so both rounds
         # mine byte-identical blocks
         net = VChainNetwork.create(
             params=ProtocolParams(mode="both", bits=8, skip_size=2, difficulty_bits=0),
             seed=33,
         )
         endpoint = ServiceEndpoint(net.sp)
-        server = server_cls(endpoint).start()
         try:
-            with _connect(net, server) as client:
+            with _client(net, endpoint, kind) as client:
                 with (
                     client.subscribe()
                     .range(low=(0,), high=(255,))
@@ -160,14 +169,13 @@ def test_async_subscription_matches_threaded():
                             make_objects(rng, 3, height * 3, timestamp=height),
                             timestamp=height,
                         )
-                    deliveries[name] = stream.poll()
+                    deliveries[kind] = stream.poll()
         finally:
-            server.stop()
             endpoint.close()
-    assert len(deliveries["async"]) == len(deliveries["threaded"]) == 2
-    for asynced, threaded in zip(deliveries["async"], deliveries["threaded"]):
-        assert asynced.results == threaded.results
-        assert asynced.vo_nbytes == threaded.vo_nbytes
+    assert len(deliveries["async"]) == len(deliveries["local"]) == 2
+    for asynced, local in zip(deliveries["async"], deliveries["local"]):
+        assert asynced.results == local.results
+        assert asynced.vo_nbytes == local.vo_nbytes
 
 
 def test_many_concurrent_async_clients(net):
@@ -505,7 +513,7 @@ def test_stats_detached_after_stop(net):
     endpoint.close()
 
 
-# -- ClientOptions and the deprecation shim ------------------------------------
+# -- ClientOptions -------------------------------------------------------------
 def test_client_options_validation():
     with pytest.raises(ValueError):
         ClientOptions(retries=-1)
@@ -518,46 +526,10 @@ def test_client_options_validation():
     assert ClientOptions(request_deadline=1e-9).deadline_ms() == 1  # min 1ms
 
 
-def test_deprecated_timeout_kwarg_maps_to_options(net):
+# -- stop() budget -------------------------------------------------------------
+def test_stop_reports_stuck_handler(net):
     endpoint = ServiceEndpoint(net.sp)
     server = AsyncSocketServer(endpoint).start()
-    try:
-        with pytest.warns(DeprecationWarning, match="timeout=.*deprecated"):
-            transport = SocketTransport(
-                server.address, net.accumulator.backend, timeout=5.0
-            )
-        assert transport.options.connect_timeout == 5.0
-        assert transport.options.request_deadline == 5.0
-        transport.close()
-        with pytest.warns(DeprecationWarning, match="VChainClient.connect"):
-            client = VChainClient.connect(
-                server.address, net.accumulator, net.encoder, net.params, timeout=5.0
-            )
-        client.close()
-    finally:
-        server.stop()
-        endpoint.close()
-
-
-def test_timeout_and_options_together_rejected():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ValueError, match="not both"):
-            _resolve_options(ClientOptions(), 5.0, "SocketTransport")
-
-
-def test_explicit_timeout_none_still_warns():
-    """``timeout=None`` was a meaningful spelling (block forever), so
-    passing it explicitly still goes through the shim."""
-    with pytest.warns(DeprecationWarning):
-        options = _resolve_options(None, None, "SocketTransport")
-    assert options.connect_timeout is None
-    assert options.request_deadline is None
-
-
-# -- threaded server stop() budget ---------------------------------------------
-def test_threaded_stop_reports_stuck_threads(net):
-    endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint).start()
     started, gate, undo = _gated_processor(net)
     try:
         client = _connect(net, server, request_deadline=10.0)
@@ -574,7 +546,7 @@ def test_threaded_stop_reports_stuck_threads(net):
         begun = time.monotonic()
         with pytest.warns(RuntimeWarning, match="still running"):
             server.stop(timeout=0.3)
-        # the budget is total, not per-thread
+        # the budget is total, not per-handler
         assert time.monotonic() - begun < 1.2
         gate.set()
         thread.join(timeout=10)
@@ -586,9 +558,9 @@ def test_threaded_stop_reports_stuck_threads(net):
         endpoint.close()
 
 
-def test_threaded_stop_within_budget_is_quiet(net):
+def test_stop_within_budget_is_quiet(net):
     endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint).start()
+    server = AsyncSocketServer(endpoint).start()
     with _connect(net, server) as client:
         client.execute(_wide_query(client)).raise_for_forgery()
     with warnings.catch_warnings():

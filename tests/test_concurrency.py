@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro import VChainClient, VChainNetwork
-from repro.api import ClientOptions, ServiceEndpoint, SocketServer
+from repro.api import AsyncSocketServer, ClientOptions, ServiceEndpoint
 from repro.chain import ProtocolParams
 from repro.errors import ReproError, SubscriptionError, VerificationError
 from tests.conftest import make_objects
@@ -208,7 +208,7 @@ def test_slow_query_does_not_stall_other_clients(net):
 
 def test_hung_client_mid_frame_does_not_block_others(net):
     endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint, idle_timeout=30.0).start()
+    server = AsyncSocketServer(endpoint).start()
     try:
         hung = socket.create_connection(server.address)
         hung.sendall(struct.pack(">I", 64)[:2])  # half a length prefix, then silence
@@ -225,29 +225,9 @@ def test_hung_client_mid_frame_does_not_block_others(net):
         endpoint.close()
 
 
-def test_idle_timeout_reaps_connection_and_session(net):
-    endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint, idle_timeout=0.2).start()
-    try:
-        client = VChainClient.connect(
-            server.address, net.accumulator, net.encoder, net.params
-        )
-        stream = client.subscribe().any_of("Benz").open()
-        query_id = stream.query_id
-        # go silent: the server reaps the connection at the idle timeout
-        # and the session deregisters the orphaned subscription
-        assert endpoint.counters.wait_for("sessions_closed", 1, timeout=10.0)
-        with pytest.raises(SubscriptionError):
-            endpoint.poll(query_id)
-        client.transport.close()
-    finally:
-        server.stop()
-        endpoint.close()
-
-
 def test_clean_disconnect_deregisters_session_subscriptions(net):
     endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint).start()
+    server = AsyncSocketServer(endpoint).start()
     try:
         client = VChainClient.connect(
             server.address, net.accumulator, net.encoder, net.params
@@ -314,7 +294,7 @@ def test_closed_endpoint_rejects_registration(net):
 
 def test_server_drain_answers_inflight_request(net):
     endpoint = ServiceEndpoint(net.sp)
-    server = SocketServer(endpoint).start()
+    server = AsyncSocketServer(endpoint).start()
     real = net.sp.processor.time_window_query
     started = threading.Event()
     gate = threading.Event()

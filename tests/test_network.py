@@ -51,7 +51,9 @@ def test_mine_dataset_and_query_workload():
     assert len(net.chain) == 24
     queries = make_time_window_queries(dataset, n_queries=3, window_blocks=12, seed=5)
     for query in queries:
-        verified, _vo, sp_stats, _user_stats = net.user.query(net.sp, query)
+        verified, _vo, sp_stats, _user_stats = net.client.execute(
+            query
+        ).raise_for_forgery()
         truth = sorted(
             o.object_id
             for b in net.chain
@@ -77,6 +79,6 @@ def test_quickstart_docstring_flow():
         numeric=RangeCondition(low=(0, 0), high=(128, 255)),
         boolean=CNFCondition.of([["Sedan"], ["Benz", "BMW"]]),
     )
-    results, _vo, _sp, _user = net.user.query(net.sp, query)
+    results, _vo, _sp, _user = net.client.execute(query).raise_for_forgery()
     for obj in results:
         assert query.matches_object(obj, net.params.bits)

@@ -73,7 +73,9 @@ def build_query(window, rng_bounds, clauses):
 def test_query_answers_equal_ground_truth(blocks, rng_bounds, clauses, mode):
     net = build_net(blocks, mode)
     query = build_query((0, len(blocks)), rng_bounds, clauses)
-    verified, _vo, _sp_stats, _user_stats = net.user.query(net.sp, query)
+    verified, _vo, _sp_stats, _user_stats = net.client.execute(
+        query
+    ).raise_for_forgery()
     truth = sorted(
         o.object_id
         for b in net.chain
@@ -88,7 +90,7 @@ def test_query_answers_equal_ground_truth(blocks, rng_bounds, clauses, mode):
 def test_dropping_any_result_is_detected(blocks, rng_bounds, clauses):
     net = build_net(blocks, "both")
     query = build_query((0, len(blocks)), rng_bounds, clauses)
-    results, vo, _stats = net.sp.time_window_query(query)
+    results, vo, _stats = net.sp.processor.time_window_query(query)
     if not results:
         return
     for drop in range(len(results)):
@@ -108,7 +110,7 @@ def test_cross_chain_vo_rejected(blocks):
     shifted = [[((v + 1) % 16, ks) for v, ks in spec] for spec in blocks]
     net_b = build_net(shifted, "intra")
     query = build_query((0, len(blocks)), (0, 15), [])
-    results, vo, _stats = net_b.sp.time_window_query(query)
+    results, vo, _stats = net_b.sp.processor.time_window_query(query)
     if [o.serialize() for b in net_a.chain for o in b.objects] == [
         o.serialize() for b in net_b.chain for o in b.objects
     ]:

@@ -29,7 +29,7 @@ def sparse_net():
 
 def test_skip_prefers_largest_distance(sparse_net):
     query = TimeWindowQuery(start=0, end=39, boolean=CNFCondition.of([["nowhere"]]))
-    _r, vo, stats = sparse_net.sp.time_window_query(query, batch=False)
+    _r, vo, stats = sparse_net.sp.processor.time_window_query(query, batch=False)
     skips = [e for e in vo.entries if isinstance(e, VOSkip)]
     assert skips, "sparse chain must produce skips"
     # the newest block (height 39) can host distance 16; it must be used
@@ -42,7 +42,7 @@ def test_skip_not_taken_when_clause_matches(sparse_net):
     # a keyword present only in block 30: blocks around it can be skipped,
     # but any skip whose range covers block 30 is unusable for this clause
     query = TimeWindowQuery(start=0, end=39, boolean=CNFCondition.of([["only30_0"]]))
-    results, vo, _stats = sparse_net.sp.time_window_query(query, batch=False)
+    results, vo, _stats = sparse_net.sp.processor.time_window_query(query, batch=False)
     verified, _ = sparse_net.user.verify(query, results, vo)
     assert {o.timestamp for o in verified} <= {30}
     scanned = [e.height for e in vo.entries if isinstance(e, VOBlock)]
@@ -51,7 +51,7 @@ def test_skip_not_taken_when_clause_matches(sparse_net):
 
 def test_stats_fields_consistent(sparse_net):
     query = TimeWindowQuery(start=0, end=39, boolean=CNFCondition.of([["nowhere"]]))
-    _r, _vo, stats = sparse_net.sp.time_window_query(query, batch=False)
+    _r, _vo, stats = sparse_net.sp.processor.time_window_query(query, batch=False)
     assert stats.blocks_scanned + stats.blocks_skipped == 40
     assert stats.sp_seconds > 0
     assert stats.results == 0
@@ -59,8 +59,12 @@ def test_stats_fields_consistent(sparse_net):
 
 def test_batch_grouping_reduces_proofs(sparse_net):
     query = TimeWindowQuery(start=0, end=39, boolean=CNFCondition.of([["nowhere"]]))
-    _r, vo_plain, stats_plain = sparse_net.sp.time_window_query(query, batch=False)
-    _r2, vo_batch, stats_batch = sparse_net.sp.time_window_query(query, batch=True)
+    _r, vo_plain, stats_plain = sparse_net.sp.processor.time_window_query(
+        query, batch=False
+    )
+    _r2, vo_batch, stats_batch = sparse_net.sp.processor.time_window_query(
+        query, batch=True
+    )
     assert stats_batch.proofs_computed < stats_plain.proofs_computed
     # a single clause ⇒ a single batch group
     assert len(vo_batch.batch_groups) == 1
@@ -74,6 +78,6 @@ def test_intra_only_never_emits_skips():
         net.miner.mine_block(make_objects(rng, 2, h * 2, h), timestamp=h)
     net.user.sync_headers(net.chain)
     query = TimeWindowQuery(start=0, end=9, boolean=CNFCondition.of([["nowhere"]]))
-    _r, vo, stats = net.sp.time_window_query(query)
+    _r, vo, stats = net.sp.processor.time_window_query(query)
     assert stats.blocks_skipped == 0
     assert all(isinstance(e, VOBlock) for e in vo.entries)

@@ -49,7 +49,9 @@ QUERY = TimeWindowQuery(
 def test_query_correct_all_schemes(acc_name, mode):
     net = build_network(acc_name, mode)
     batch = acc_name == "acc2"
-    verified, _vo, sp_stats, user_stats = net.user.query(net.sp, QUERY, batch=batch)
+    verified, _vo, sp_stats, user_stats = net.client.execute(
+        QUERY, batch=batch
+    ).raise_for_forgery()
     assert sorted(o.object_id for o in verified) == ground_truth(net, QUERY)
     assert sp_stats.results == len(verified)
     assert user_stats.nodes_replayed > 0
@@ -58,7 +60,7 @@ def test_query_correct_all_schemes(acc_name, mode):
 def test_batch_requires_acc2():
     net = build_network("acc1", "intra")
     with pytest.raises(QueryError):
-        net.sp.time_window_query(QUERY, batch=True)
+        net.sp.processor.time_window_query(QUERY, batch=True)
 
 
 def test_empty_result_queries_verify():
@@ -66,7 +68,7 @@ def test_empty_result_queries_verify():
     query = TimeWindowQuery(
         start=0, end=150, boolean=CNFCondition.of([["NoSuchKeyword"]])
     )
-    verified, vo, _sp, _user = net.user.query(net.sp, query)
+    verified, vo, _sp, _user = net.client.execute(query).raise_for_forgery()
     assert verified == []
     assert vo.entries  # mismatch evidence still present
 
@@ -74,21 +76,21 @@ def test_empty_result_queries_verify():
 def test_query_window_outside_chain():
     net = build_network("acc2", "both")
     query = TimeWindowQuery(start=10**9, end=2 * 10**9)
-    verified, vo, _sp, _user = net.user.query(net.sp, query)
+    verified, vo, _sp, _user = net.client.execute(query).raise_for_forgery()
     assert verified == [] and vo.entries == []
 
 
 def test_no_condition_returns_everything():
     net = build_network("acc2", "intra", n_blocks=6)
     query = TimeWindowQuery(start=0, end=10**6)
-    verified, _vo, _sp, _user = net.user.query(net.sp, query)
+    verified, _vo, _sp, _user = net.client.execute(query).raise_for_forgery()
     assert len(verified) == sum(len(b.objects) for b in net.chain)
 
 
 def test_partial_window_selects_blocks():
     net = build_network("acc2", "intra")
     query = TimeWindowQuery(start=50, end=90, boolean=CNFCondition.of([["Benz"]]))
-    verified, _vo, _sp, _user = net.user.query(net.sp, query)
+    verified, _vo, _sp, _user = net.client.execute(query).raise_for_forgery()
     assert all(50 <= o.timestamp <= 90 for o in verified)
     assert sorted(o.object_id for o in verified) == ground_truth(net, query)
 
@@ -100,8 +102,12 @@ def test_intra_vo_smaller_than_nil():
     )
     nil_net = build_network("acc2", "nil")
     intra_net = build_network("acc2", "intra")
-    _r1, vo_nil, stats_nil = nil_net.sp.time_window_query(selective, batch=False)
-    _r2, vo_intra, stats_intra = intra_net.sp.time_window_query(selective, batch=False)
+    _r1, vo_nil, stats_nil = nil_net.sp.processor.time_window_query(
+        selective, batch=False
+    )
+    _r2, vo_intra, stats_intra = intra_net.sp.processor.time_window_query(
+        selective, batch=False
+    )
     backend = nil_net.accumulator.backend
     assert stats_intra.proofs_computed < stats_nil.proofs_computed
     assert vo_intra.nbytes(backend) < vo_nil.nbytes(backend)
@@ -120,7 +126,7 @@ def test_inter_index_skips_sparse_data():
         net.miner.mine_block(objs, timestamp=h)
     net.user.sync_headers(net.chain)
     query = TimeWindowQuery(start=0, end=39, boolean=CNFCondition.of([["addr0"]]))
-    verified, _vo, stats = net.sp.time_window_query(query, batch=False)
+    verified, _vo, stats = net.sp.processor.time_window_query(query, batch=False)
     _verified2, _stats2 = net.user.verify(query, verified, _vo)
     assert stats.blocks_skipped > 0
     assert sorted(o.object_id for o in verified) == ground_truth(net, query)
@@ -129,9 +135,9 @@ def test_inter_index_skips_sparse_data():
 def test_batch_reduces_user_checks_and_vo_size():
     net = build_network("acc2", "both")
     query = TimeWindowQuery(start=0, end=230, boolean=CNFCondition.of([["Tesla"]]))
-    r1, vo_plain, _ = net.sp.time_window_query(query, batch=False)
+    r1, vo_plain, _ = net.sp.processor.time_window_query(query, batch=False)
     _v1, stats_plain = net.user.verify(query, r1, vo_plain)
-    r2, vo_batch, _ = net.sp.time_window_query(query, batch=True)
+    r2, vo_batch, _ = net.sp.processor.time_window_query(query, batch=True)
     _v2, stats_batch = net.user.verify(query, r2, vo_batch)
     backend = net.accumulator.backend
     assert stats_batch.disjoint_checks < stats_plain.disjoint_checks
@@ -140,7 +146,7 @@ def test_batch_reduces_user_checks_and_vo_size():
 
 def test_vo_nbytes_positive_and_consistent():
     net = build_network("acc2", "both")
-    _r, vo, _s = net.sp.time_window_query(QUERY)
+    _r, vo, _s = net.sp.processor.time_window_query(QUERY)
     backend = net.accumulator.backend
     total = vo.nbytes(backend)
     assert total > 0
@@ -164,5 +170,7 @@ def test_real_backend_end_to_end():
         net.miner.mine_block(objs, timestamp=h)
     net.user.sync_headers(net.chain)
     query = TimeWindowQuery(start=0, end=10, boolean=CNFCondition.of([["Benz", "BMW"]]))
-    verified, _vo, _sp_stats, _user_stats = net.user.query(net.sp, query)
+    verified, _vo, _sp_stats, _user_stats = net.client.execute(
+        query
+    ).raise_for_forgery()
     assert sorted(o.object_id for o in verified) == ground_truth(net, query)

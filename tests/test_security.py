@@ -56,7 +56,7 @@ QUERY = TimeWindowQuery(
 
 
 def honest(net, batch=False):
-    return net.sp.time_window_query(QUERY, batch=batch)
+    return net.sp.processor.time_window_query(QUERY, batch=batch)
 
 
 def find_block_with_leaf(vo):
@@ -359,6 +359,6 @@ def test_header_substitution_detected(net):
         objs = make_objects(rng, 3, oid, timestamp=h * 10, vocab=VOCAB)
         oid += 3
         fork.miner.mine_block(objs, timestamp=h * 10)
-    results, vo, _ = fork.sp.time_window_query(QUERY)
+    results, vo, _ = fork.sp.processor.time_window_query(QUERY)
     with pytest.raises(VerificationError):
         net.user.verify(QUERY, results, vo)

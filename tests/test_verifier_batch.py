@@ -37,7 +37,7 @@ QUERY = TimeWindowQuery(start=0, end=5, boolean=CNFCondition.of([["alpha"], ["be
 
 
 def test_two_batch_groups_form_and_verify(net):
-    results, vo, _stats = net.sp.time_window_query(QUERY, batch=True)
+    results, vo, _stats = net.sp.processor.time_window_query(QUERY, batch=True)
     assert results == []  # every block misses one clause
     assert len(vo.batch_groups) == 2
     clauses = {group.clause for group in vo.batch_groups.values()}
@@ -46,7 +46,7 @@ def test_two_batch_groups_form_and_verify(net):
 
 
 def test_swapped_group_proofs_rejected(net):
-    results, vo, _stats = net.sp.time_window_query(QUERY, batch=True)
+    results, vo, _stats = net.sp.processor.time_window_query(QUERY, batch=True)
     (id_a, group_a), (id_b, group_b) = sorted(vo.batch_groups.items())
     forged = TimeWindowVO(
         entries=vo.entries,
@@ -61,7 +61,7 @@ def test_swapped_group_proofs_rejected(net):
 
 def test_relabelled_member_clause_rejected(net):
     """Re-tagging a grouped mismatch node's clause must be caught."""
-    results, vo, _stats = net.sp.time_window_query(QUERY, batch=True)
+    results, vo, _stats = net.sp.processor.time_window_query(QUERY, batch=True)
     forged_entries = []
     mutated = False
     for entry in vo.entries:
@@ -89,7 +89,7 @@ def test_relabelled_member_clause_rejected(net):
 
 def test_group_clause_member_mismatch_rejected(net):
     """Group table claiming a different clause than its members carry."""
-    results, vo, _stats = net.sp.time_window_query(QUERY, batch=True)
+    results, vo, _stats = net.sp.processor.time_window_query(QUERY, batch=True)
     forged_groups = dict(vo.batch_groups)
     target = next(iter(forged_groups))
     forged_groups[target] = BatchGroup(

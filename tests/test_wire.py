@@ -132,7 +132,7 @@ def query_setup():
 def test_vo_roundtrip_and_verify(query_setup, batch):
     net, query = query_setup
     backend = net.accumulator.backend
-    results, vo, _stats = net.sp.time_window_query(query, batch=batch)
+    results, vo, _stats = net.sp.processor.time_window_query(query, batch=batch)
     blob = encode_time_window_vo(backend, vo)
     decoded = decode_time_window_vo(backend, blob)
     assert decoded == vo
@@ -144,7 +144,7 @@ def test_vo_roundtrip_and_verify(query_setup, batch):
 def test_response_roundtrip(query_setup):
     net, query = query_setup
     backend = net.accumulator.backend
-    results, vo, _stats = net.sp.time_window_query(query)
+    results, vo, _stats = net.sp.processor.time_window_query(query)
     blob = encode_response(backend, results, vo)
     decoded_results, decoded_vo = decode_response(backend, blob)
     assert decoded_results == results
@@ -155,7 +155,7 @@ def test_wire_size_tracks_nbytes(query_setup):
     """Encoded size should be in the same ballpark as the accounting."""
     net, query = query_setup
     backend = net.accumulator.backend
-    _results, vo, _stats = net.sp.time_window_query(query)
+    _results, vo, _stats = net.sp.processor.time_window_query(query)
     encoded = len(encode_time_window_vo(backend, vo))
     accounted = vo.nbytes(backend)
     assert 0.5 * accounted <= encoded <= 1.5 * accounted + 256
@@ -164,7 +164,7 @@ def test_wire_size_tracks_nbytes(query_setup):
 def test_decoder_rejects_bit_flips(query_setup):
     net, query = query_setup
     backend = net.accumulator.backend
-    _results, vo, _stats = net.sp.time_window_query(query)
+    _results, vo, _stats = net.sp.processor.time_window_query(query)
     blob = bytearray(encode_time_window_vo(backend, vo))
     rng = random.Random(0)
     rejected = 0

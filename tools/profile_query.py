@@ -49,7 +49,7 @@ def main() -> int:
                         "profiles then show the parent-side orchestration "
                         "while the crypto runs in the workers")
     parser.add_argument("--accel", default=None,
-                        choices=["auto", "pure", "gmpy2", "native"],
+                        choices=["auto", "pure", "native"],
                         help="arithmetic provider for the crypto hot loops "
                         "(default: probe for the fastest installed)")
     parser.add_argument("--phase", choices=[*PHASES, "all"], default="all",
