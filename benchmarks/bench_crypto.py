@@ -6,10 +6,11 @@ and fixed-base MSM, multi-pairing verification) against the **naive
 reference path** the repo shipped before it: affine double-and-add
 scalar multiplication, scalar-at-a-time multi-exponentiation, and one
 full pairing (Miller loop + final exponentiation) per factor of every
-verification equation.  The naive path is reimplemented here, from the
-affine primitives that remain in :mod:`repro.crypto.curve` and
-:mod:`repro.crypto.bn254`, so the comparison stays honest as the fast
-path evolves.
+verification equation; and key-power materialization (``g^{s^i}`` from
+the generator's comb table, in batches) against one ``exp`` per power.
+The naive path is reimplemented here, from the affine primitives that
+remain in :mod:`repro.crypto.curve` and :mod:`repro.crypto.bn254`, so
+the comparison stays honest as the fast path evolves.
 
 Every timed section also asserts **bit-for-bit parity**: the fast path
 must produce byte-identical group elements (and therefore identical
@@ -23,6 +24,7 @@ assertion fails.  Results land in ``BENCH_crypto.json``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -36,7 +38,7 @@ from common import build_network, get_dataset, print_row
 
 from repro.accumulators import ElementEncoder, make_accumulator
 from repro.crypto import bn254 as bn
-from repro.crypto import curve
+from repro.crypto import curve, msm
 from repro.crypto.accel import dispatch
 from repro.crypto.backend import get_backend
 from repro.crypto.curve import (
@@ -134,6 +136,10 @@ def naive_pair(backend, a, b):
     if backend.name == "ss512":
         return naive_ss_pairing(a, b)
     return backend.pair(a, b)  # bn254 naive pairing == current per-pair path
+
+
+#: fresh key powers the keypower sections materialize per run
+KEYPOWER_INDICES = 1000
 
 
 # -- timing helpers -----------------------------------------------------------
@@ -357,6 +363,65 @@ def section_prove_verify(report: dict, parity: list) -> None:
     print_row("verify/batch", report["verify"]["batch_ss512"])
 
 
+def _keypower_workload() -> dict:
+    """:data:`KEYPOWER_INDICES` fresh acc2 key powers, active provider:
+    one :meth:`KeyOracle.prefetch` batch against the per-index
+    ``backend.exp(g, s^i)`` reference (best of three each), with the
+    comb-table build timed on its own and a digest of the powers for
+    cross-provider parity."""
+    backend = get_backend("ss512")
+    secret, acc2 = make_accumulator("acc2", backend, rng=random.Random(6))
+    oracle = acc2.public_key.oracle
+    domain = acc2.public_key.domain
+    indices = random.Random(17).sample(
+        range(domain + 1, 2 * domain - 1), KEYPOWER_INDICES
+    )
+    exponents = [pow(secret.s, i, backend.order) for i in indices]
+    generator = backend.generator()
+    exp_s, reference = timed(
+        lambda: [backend.exp(generator, e) for e in exponents], repeat=3
+    )
+    msm._COMB_CACHE.clear()  # time the one-off table build separately
+    table_s, _ = timed(lambda: oracle.prefetch([domain - 1]))
+
+    def fresh_prefetch() -> None:
+        oracle._cache.clear()
+        oracle.prefetch(indices)
+
+    prefetch_s, _ = timed(fresh_prefetch, repeat=3)
+    encoded = b"".join(backend.encode(oracle.power(i)) for i in indices)
+    return {
+        "exp_s": exp_s,
+        "prefetch_s": prefetch_s,
+        "table_s": table_s,
+        "parity": encoded == b"".join(backend.encode(p) for p in reference),
+        "digest": hashlib.sha256(encoded).hexdigest(),
+    }
+
+
+def section_keypower(report: dict, parity: list) -> None:
+    """Key-power materialization: comb-table batch vs per-index ``exp``,
+    pinned to the pure-Python provider (the C extension has its own row
+    in the accel section)."""
+    previous = dispatch.active_impl()
+    try:
+        dispatch.set_impl("pure")
+        run = _keypower_workload()
+    finally:
+        dispatch.set_impl(previous)
+    parity.append(("keypower prefetch == exp", run["parity"]))
+    row = {
+        "indices": KEYPOWER_INDICES,
+        "exp_s": round(run["exp_s"], 4),
+        "prefetch_s": round(run["prefetch_s"], 4),
+        "table_s": round(run["table_s"], 4),
+        "speedup": round(run["exp_s"] / run["prefetch_s"], 2),
+        "digest": run["digest"],
+    }
+    report["keypower"] = {"ss512": row}
+    print_row("keypower/ss512", row)
+
+
 def _accel_workload() -> dict:
     """acc1 accumulate / prove / verify at capacity 256 under the
     currently active provider, plus the canonical bytes of everything
@@ -422,6 +487,25 @@ def section_accel(report: dict, parity: list) -> None:
         }
         report["accel"][op] = row
         print_row(f"accel/{op}", row)
+    # key powers: the comb batch against the per-index exp, both on the
+    # accelerated provider, whose powers must match the pure section's
+    try:
+        dispatch.set_impl(best)
+        keypower = _keypower_workload()
+    finally:
+        dispatch.set_impl(previous)
+    pure_digest = report.get("keypower", {}).get("ss512", {}).get("digest")
+    parity.append((f"accel {best} keypower prefetch == exp", keypower["parity"]))
+    parity.append(
+        (f"accel {best} key powers == pure", keypower["digest"] == pure_digest)
+    )
+    row = {
+        f"{best}_exp_s": round(keypower["exp_s"], 4),
+        f"{best}_prefetch_s": round(keypower["prefetch_s"], 4),
+        "speedup": round(keypower["exp_s"] / keypower["prefetch_s"], 2),
+    }
+    report["accel"]["keypower"] = row
+    print_row("accel/keypower", row)
 
 
 def section_end_to_end(report: dict) -> None:
@@ -502,6 +586,7 @@ def main() -> int:
     section_msm(report, parity)
     section_accumulate(report, parity)
     section_prove_verify(report, parity)
+    section_keypower(report, parity)
     section_accel(report, parity)
     if not args.skip_end_to_end:
         section_end_to_end(report)

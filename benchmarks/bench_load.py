@@ -170,6 +170,10 @@ def mixed_ops(queries, subscription, n_queries):
 
 
 # -- the async-1k profile ------------------------------------------------------
+#: how long the swarm waits for the server to count every connection
+KICKOFF_TIMEOUT_S = 5.0
+
+
 def frame(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
@@ -191,13 +195,20 @@ async def swarm(address, request_frame, n_clients, n_requests, server):
         return await asyncio.open_connection(*address)
 
     conns = await asyncio.gather(*(connect(index) for index in range(n_clients)))
-    opened = server.counters.connections_opened
-    closed = server.counters.connections_closed
-    concurrent = opened - closed
-    if concurrent < n_clients:
-        raise SystemExit(
-            f"only {concurrent} of {n_clients} connections concurrent at kickoff"
+    # open_connection returns once the handshake completes, which can be
+    # before the server's accept callback has counted the connection
+    deadline = time.perf_counter() + KICKOFF_TIMEOUT_S
+    while True:
+        concurrent = (
+            server.counters.connections_opened - server.counters.connections_closed
         )
+        if concurrent >= n_clients:
+            break
+        if time.perf_counter() >= deadline:
+            raise SystemExit(
+                f"only {concurrent} of {n_clients} connections concurrent at kickoff"
+            )
+        await asyncio.sleep(0.01)
 
     async def client_loop(reader, writer):
         nonlocal busy

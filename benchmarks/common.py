@@ -9,8 +9,8 @@ explicitly) and reports the paper's three metrics through
 Scale note: the paper's testbed processes 240–2400 blocks per query on
 a 24-thread Xeon through the MCL C++ library; this harness uses
 windows of 8–64 blocks on the simulated backend.  Relative shapes (who
-wins, by what factor, where costs cross) are the reproduction target —
-see EXPERIMENTS.md for the side-by-side reading.
+wins, by what factor, where costs cross) are the reproduction target;
+each ``bench_*`` script's docstring states the shapes it reproduces.
 """
 
 from __future__ import annotations

@@ -49,20 +49,21 @@ class Acc2(MultisetAccumulator):
 
         One MSM over the referenced powers; the counts are small (object
         multiplicities), so Pippenger collapses the whole histogram into
-        a single bucket pass.
+        a single bucket pass.  The powers are materialized in batches
+        (:meth:`~repro.accumulators.keys.KeyOracle.powers`).
         """
         backend = self.backend
-        bases = []
+        indices = []
         scalars = []
         for index, count in exponents.items():
             count %= backend.order
             if count == 0:
                 continue
-            bases.append(self.public_key.power(index))
+            indices.append(index)
             scalars.append(count)
-        if not bases:
+        if not indices:
             return backend.identity()
-        return backend.multi_exp(bases, scalars)
+        return backend.multi_exp(self.public_key.powers(indices), scalars)
 
     # -- accumulator API --------------------------------------------------------
     def accumulate(self, encoded: Counter) -> AccumulatorValue:

@@ -9,20 +9,28 @@ The paper notes (Section 5.2.2) that hashing attributes to wide integers
 makes acc2's key astronomically large, and proposes a **trusted oracle**
 (a third party or SGX enclave) that holds ``s`` and answers public-key
 power requests on demand.  :class:`KeyOracle` implements exactly that
-remedy: it caches ``g^{s^i}`` per requested index and *refuses* to serve
+remedy: it serves ``g^{s^i}`` per requested index and *refuses* to serve
 the forbidden acc2 index, so code built on the oracle sees precisely the
 interface an SGX-backed deployment would expose.  ``materialize`` turns
 an oracle view into a plain list for deployments with a small, fixed
 ``q`` (the acc1 setting).
+
+Powers are materialized in batches through
+:meth:`~repro.crypto.backend.PairingBackend.generator_powers` (a comb
+table on the generator, built once per process) and kept in a bounded
+LRU: a commit walks its indices in chunks of :data:`PREFETCH_CHUNK`,
+computing each chunk's misses together before reading them back one
+:meth:`KeyOracle.power` at a time.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.cache.lru import LRUCache
 from repro.crypto.accel import dispatch
 from repro.crypto.backend import GroupElement, PairingBackend
 from repro.errors import CryptoError, KeyCapacityError
@@ -30,6 +38,18 @@ from repro.errors import CryptoError, KeyCapacityError
 #: Default acc2 exponent-domain size: large enough that hash-encoded
 #: attributes collide with negligible probability at benchmark scales.
 DEFAULT_ACC2_DOMAIN = 2**32
+
+#: Key powers one oracle keeps (LRU).  Mining a block with four live
+#: subscriptions touches about 1980 distinct powers, all but ~280 of
+#: them the previous block's too, so the cache holds that working set;
+#: a fresh query's ~1700 single-use powers just pass through.  An
+#: evicted power is recomputed on demand, identical.
+POWER_CACHE_ENTRIES = 2048
+
+#: Indices a commit materializes per batch.  Bounds the transient
+#: Jacobian batch and keeps each chunk well inside the cache, so a
+#: prefetched power is still cached when the commit reads it back.
+PREFETCH_CHUNK = 256
 
 
 @dataclass
@@ -47,6 +67,12 @@ class KeyOracle:
     public parameters, and in tests it doubles as the boundary that the
     unforgeability experiments are run against (the adversary may query
     powers but not the trapdoor).
+
+    Served powers live in a thread-safe LRU of
+    :data:`POWER_CACHE_ENTRIES` (client and server threads may share one
+    oracle).  :meth:`prefetch` computes a batch of misses in one
+    :meth:`~repro.crypto.backend.PairingBackend.generator_powers` call;
+    every power a caller uses is still read through :meth:`power`.
     """
 
     def __init__(
@@ -58,33 +84,39 @@ class KeyOracle:
         self._backend = backend
         self._secret = secret
         self._forbidden = forbidden
-        self._cache: dict[int, GroupElement] = {0: backend.generator()}
+        self._cache = LRUCache(POWER_CACHE_ENTRIES)
         # fixed-base window tables per power index (backend-opaque); built
         # lazily, then shared by every commit that touches the same power
         self._tables: dict[int, Any] = {}
 
     def __getstate__(self) -> dict:
-        """Pickle everything except the fixed-base window tables.
+        """Pickle a plain snapshot of the power cache, without tables.
 
         Spawn-mode :class:`~repro.parallel.CryptoPool` workers receive
-        the oracle by pickling.  The power cache travels (it is small
-        and saves each worker one ``exp`` per index), but window tables
-        are bulky precomputation that every worker rebuilds lazily from
-        :meth:`power_table` — exactly what a process restart does.
+        the oracle by pickling.  The cached powers travel as an
+        ``(index, power)`` list, coldest first (the LRU itself holds a
+        lock), and the receiving side refills a fresh LRU from it.
+        Window tables are bulky precomputation that every worker
+        rebuilds lazily from :meth:`power_table` — exactly what a
+        process restart does.
         """
         state = self.__dict__.copy()
+        state["_cache"] = self._cache.items()
         state["_tables"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:
+        powers = state.pop("_cache")
         self.__dict__.update(state)
+        self._cache = LRUCache(POWER_CACHE_ENTRIES)
+        for index, element in powers:
+            self._cache.put(index, element)
 
     @property
     def backend(self) -> PairingBackend:
         return self._backend
 
-    def power(self, index: int) -> GroupElement:
-        """Return ``g^{s^index}`` (cached)."""
+    def _check(self, index: int) -> None:
         if index < 0:
             raise CryptoError("negative key-power index")
         if index in self._forbidden:
@@ -92,12 +124,44 @@ class KeyOracle:
                 f"power index {index} is withheld by the trusted oracle "
                 "(q-DHE forbidden slot)"
             )
+
+    def _materialize(self, indices: list[int]) -> list[GroupElement]:
+        order = self._backend.order
+        exponents = [dispatch.modexp(self._secret.s, i, order) for i in indices]
+        elements = self._backend.generator_powers(exponents)
+        for index, element in zip(indices, elements, strict=True):
+            self._cache.put(index, element)
+        return elements
+
+    def power(self, index: int) -> GroupElement:
+        """Return ``g^{s^index}`` (cached)."""
+        self._check(index)
         element = self._cache.get(index)
         if element is None:
-            exponent = dispatch.modexp(self._secret.s, index, self._backend.order)
-            element = self._backend.exp(self._backend.generator(), exponent)
-            self._cache[index] = element
+            element = self._materialize([index])[0]
         return element
+
+    def prefetch(self, indices: Iterable[int]) -> None:
+        """Materialize every uncached index of ``indices`` in one batch.
+
+        Every index is checked before anything is computed, so a
+        forbidden or negative index leaves the cache untouched.
+        """
+        wanted = list(dict.fromkeys(indices))
+        for index in wanted:
+            self._check(index)
+        missing = [index for index in wanted if index not in self._cache]
+        if missing:
+            self._materialize(missing)
+
+    def powers(self, indices: Sequence[int]) -> list[GroupElement]:
+        """``[power(i) for i in indices]``, prefetched chunk by chunk."""
+        out: list[GroupElement] = []
+        for start in range(0, len(indices), PREFETCH_CHUNK):
+            chunk = indices[start : start + PREFETCH_CHUNK]
+            self.prefetch(chunk)
+            out.extend(self.power(index) for index in chunk)
+        return out
 
     def power_table(self, index: int) -> Any:
         """Fixed-base MSM table for ``g^{s^index}`` (cached).
@@ -116,8 +180,10 @@ class KeyOracle:
         """``Π power(i)^{coefficients[i]}`` via cached fixed-base tables.
 
         The acc1 commit primitive: polynomial coefficients over the
-        prefix powers ``g^{s^0} .. g^{s^{deg}}``.
+        prefix powers ``g^{s^0} .. g^{s^{deg}}``.  Powers whose tables
+        are not built yet are materialized in chunked batches first.
         """
+        self.powers([i for i in range(len(coefficients)) if i not in self._tables])
         tables = [self.power_table(i) for i in range(len(coefficients))]
         return self._backend.multi_exp_tables(tables, list(coefficients))
 
@@ -130,7 +196,7 @@ class KeyOracle:
         bad = [i for i in self._forbidden if i <= max_index]
         if bad:
             raise KeyCapacityError(f"cannot materialize withheld indices {bad}")
-        return [self.power(i) for i in range(max_index + 1)]
+        return self.powers(range(max_index + 1))
 
 
 @dataclass
@@ -176,14 +242,23 @@ class Acc2PublicKey:
     oracle: KeyOracle
     domain: int
 
-    def power(self, index: int) -> GroupElement:
+    def _check(self, index: int) -> None:
         if index == self.domain:
             raise KeyCapacityError("acc2 forbidden power g^{s^q} requested")
         if not 0 <= index <= 2 * self.domain - 2:
             raise KeyCapacityError(
                 f"acc2 power {index} outside [0, 2q-2] for q={self.domain}"
             )
+
+    def power(self, index: int) -> GroupElement:
+        self._check(index)
         return self.oracle.power(index)
+
+    def powers(self, indices: Sequence[int]) -> list[GroupElement]:
+        """:meth:`KeyOracle.powers` after checking every index here."""
+        for index in indices:
+            self._check(index)
+        return self.oracle.powers(indices)
 
     @property
     def backend(self) -> PairingBackend:

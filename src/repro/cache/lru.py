@@ -79,6 +79,16 @@ class LRUCache:
         with self._lock:
             return key in self._entries
 
+    def keys(self) -> list[Hashable]:
+        """Snapshot of the cached keys, coldest first."""
+        with self._lock:
+            return list(self._entries)
+
+    def items(self) -> list[tuple[Hashable, Any]]:
+        """Snapshot of the cached entries, coldest first; no recency change."""
+        with self._lock:
+            return list(self._entries.items())
+
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Value for ``key`` (refreshing recency), else ``default``."""
         with self._lock:

@@ -145,6 +145,18 @@ class PairingBackend(ABC):
             acc = self.op(acc, self.exp(base, scalar))
         return acc
 
+    def generator_powers(self, scalars: list[int]) -> list[GroupElement]:
+        """``[generator()^s for s in scalars]`` — the key-power batch.
+
+        The trusted key oracle materializes ``g^{s^i}`` through this
+        method.  The default loops :meth:`exp`; the ss512 backend
+        overrides it with a comb table on the generator
+        (:func:`repro.crypto.msm.fixed_base_batch`), built once per
+        process, which makes each power a few dozen mixed additions.
+        """
+        generator = self.generator()
+        return [self.exp(generator, scalar) for scalar in scalars]
+
     def fixed_base_table(self, base: GroupElement) -> Any:
         """Opaque precomputation for a base reused across many MSMs.
 
@@ -220,6 +232,14 @@ class SupersingularBackend(PairingBackend):
         if len(bases) != len(scalars):
             raise ValueError("multi_exp: bases and scalars differ in length")
         return msm.msm(msm.SS512_OPS, bases, [s % self.order for s in scalars])
+
+    def generator_powers(self, scalars: list[int]) -> list[curve.Point]:
+        return msm.fixed_base_batch(
+            msm.SS512_OPS,
+            self._generator,
+            [s % self.order for s in scalars],
+            self.order.bit_length(),
+        )
 
     def fixed_base_table(self, base: curve.Point) -> list[curve.Point] | None:
         return msm.fixed_base_windows(msm.SS512_OPS, base, self.order.bit_length())

@@ -1,6 +1,6 @@
 """Multi-scalar multiplication (MSM) over the pairing curves.
 
-Three algorithms, all running in Jacobian coordinates so no step pays a
+Four algorithms, all running in Jacobian coordinates so no step pays a
 modular inversion (only the final normalization back to affine does):
 
 * :func:`pippenger` — the bucket method for one-shot inputs.  Scalars
@@ -19,6 +19,11 @@ modular inversion (only the final normalization back to affine does):
 
 * :func:`jac_scalar_mul` — width-5 wNAF single-scalar multiplication,
   used by ``backend.exp`` and as Pippenger's ``n = 1`` case.
+
+* :func:`fixed_base_batch` — many scalar multiples of *one* base (the
+  generator, for the key powers ``g^{s^i}``) from a comb table
+  ``d·2^{wj}·B`` built once per base: each scalar costs ``t/w`` mixed
+  additions and no doublings, and the whole batch shares one inversion.
 
 The algorithms are generic over a :class:`CurveOps` adapter so the same
 code serves the ss512 curve (coordinates are plain ints, see
@@ -350,3 +355,74 @@ def fixed_base_msm(
             scalar >>= width
             window += 1
     return run_ops.to_affine(_collapse_buckets(run_ops, buckets))
+
+
+# -- many multiples of one base: the fixed-base comb ---------------------------
+#: Digit width of the comb: each row holds ``2^w - 1`` points.  On ss512
+#: (160-bit scalars) w=6 is 27 rows and 1701 points; w=8 would save a
+#: quarter of the additions per scalar for three times the table.
+COMB_WIDTH = 6
+
+#: comb tables per (adapter name, base, bits, width); transient (never
+#: pickled) and in practice one entry per curve: the base is the generator
+_COMB_CACHE: dict[tuple[str, AffinePoint, int, int], list[list[AffinePoint]]] = {}
+
+
+def _build_comb(
+    run_ops: CurveOps, base: AffinePoint, num_bits: int, width: int
+) -> list[list[AffinePoint]]:
+    """Rows ``[d·2^{wj}·B for d in 1..2^w-1]`` for ``j < ceil(num_bits/w)``.
+
+    Each row is one run of mixed additions of the row's base, normalized
+    together with the next row's base (``2^w`` times this one), so the
+    whole table pays one inversion per row.
+    """
+    rows: list[list[AffinePoint]] = []
+    row_base = base
+    for _ in range((num_bits + width - 1) // width):
+        acc = run_ops.to_jac(row_base)
+        multiples = [acc]
+        for _ in range((1 << width) - 1):
+            acc = run_ops.add_affine(acc, row_base)
+            multiples.append(acc)
+        *row, row_base = run_ops.batch_to_affine(multiples)
+        rows.append(row)
+    return rows
+
+
+def fixed_base_batch(
+    ops: CurveOps,
+    base: AffinePoint,
+    scalars: Sequence[int],
+    num_bits: int,
+    width: int = COMB_WIDTH,
+) -> list[AffinePoint]:
+    """``[k·B for k in scalars]`` in affine form, for ``0 <= k < 2^num_bits``.
+
+    The comb table of ``B`` is built on first use and cached for the
+    process; with it each scalar is the sum of one table point per
+    non-zero ``w``-bit digit, and the batch is normalized with one
+    Montgomery-trick inversion.  Results are the same affine points as
+    :func:`jac_scalar_mul`.
+    """
+    for scalar in scalars:
+        if not 0 <= scalar < 1 << num_bits:
+            raise ValueError(f"comb scalar outside [0, 2^{num_bits})")
+    run_ops, _ = _active_ops(ops)
+    key = (ops.name, base, num_bits, width)
+    comb = _COMB_CACHE.get(key)
+    if comb is None:
+        comb = _COMB_CACHE.setdefault(key, _build_comb(run_ops, base, num_bits, width))
+    mask = (1 << width) - 1
+    sums = []
+    for scalar in scalars:
+        acc = run_ops.infinity
+        row = 0
+        while scalar:
+            digit = scalar & mask
+            if digit:
+                acc = run_ops.add_affine(acc, comb[row][digit - 1])
+            scalar >>= width
+            row += 1
+        sums.append(acc)
+    return run_ops.batch_to_affine(sums)

@@ -417,6 +417,8 @@ def test_async_drain_answers_inflight_request(net):
         answers = []
 
         def run_query():
+            # raw transport call: drain guarantees this one answer, but
+            # no further requests (like a header sync) after stop()
             answers.append(
                 client.transport.time_window_query(_wide_query(net.client))
             )

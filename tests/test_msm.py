@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crypto import bn254 as bn
 from repro.crypto import curve, msm
+from repro.crypto.accel import dispatch
 from repro.crypto.backend import PairingBackend, get_backend
 from repro.errors import CryptoError
 
@@ -314,3 +315,47 @@ def test_validate_subgroup_caches_validated_points():
         curve.validate_subgroup((1, 1))
     # a cache hit never bypasses the cheap on-curve check
     assert curve.is_on_curve(p)
+
+
+# -- key powers: generator_powers vs per-scalar exp ---------------------------
+#: r-1, r and the comb's digit boundaries 2^{6k} / 2^{6k}-1 (27 rows of
+#: width 6 cover the 160-bit order; 2^162 wraps mod r)
+COMB_EDGES = [
+    0,
+    1,
+    ORDER - 1,
+    ORDER,
+    *(2 ** (6 * k) for k in (1, 2, 13, 26, 27)),
+    *(2 ** (6 * k) - 1 for k in (1, 2, 13, 26, 27)),
+]
+
+
+@pytest.mark.parametrize("impl", dispatch.available_impls())
+@settings(max_examples=10, deadline=None)
+@given(scalars=st.lists(st.integers(min_value=0, max_value=2**200), max_size=8))
+def test_ss512_generator_powers_match_exp(impl, scalars):
+    backend = get_backend("ss512")
+    previous = dispatch.active_impl()
+    dispatch.set_impl(impl)
+    try:
+        batch = COMB_EDGES + scalars
+        expected = [backend.exp(backend.generator(), s) for s in batch]
+        assert backend.generator_powers(batch) == expected
+    finally:
+        dispatch.set_impl(previous)
+
+
+def test_generator_powers_default_matches_exp(backend):
+    order = backend.order
+    batch = [0, 1, order - 1, order, 2**6, 2**6 - 1, 2**156, 2**156 - 1]
+    g = backend.generator()
+    expected = [backend.encode(backend.exp(g, s)) for s in batch]
+    assert [backend.encode(e) for e in backend.generator_powers(batch)] == expected
+    assert backend.generator_powers([]) == []
+
+
+def test_fixed_base_batch_rejects_wide_scalars():
+    with pytest.raises(ValueError):
+        msm.fixed_base_batch(msm.SS512_OPS, G, [1 << 160], ORDER.bit_length())
+    with pytest.raises(ValueError):
+        msm.fixed_base_batch(msm.SS512_OPS, G, [-1], ORDER.bit_length())
